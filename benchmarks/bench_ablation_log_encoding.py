@@ -7,14 +7,15 @@ DESIGN.md §5: packing must cut the RRR+graph footprint substantially
 
 from repro.engines import EIMEngine
 from repro.experiments.rendering import Series, format_series
+from repro.imm import IMMOptions
 
 
 def _run(config, code, log_encoding):
     graph = config.graph(code, "IC")
     return EIMEngine(log_encoding=log_encoding).run(
-        graph, config.default_k, config.default_epsilon, "IC",
-        rng=config.seed, bounds=config.bounds(sweep=True),
-        device_spec=config.device(),
+        graph, config.default_k, config.default_epsilon,
+        rng=config.seed, device_spec=config.device(),
+        options=IMMOptions(model="IC", bounds=config.bounds(sweep=True)),
     )
 
 

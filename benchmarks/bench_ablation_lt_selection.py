@@ -7,6 +7,7 @@ from O(d) to O(log d).
 
 from repro.engines import EIMEngine
 from repro.experiments.rendering import Series, format_series
+from repro.imm import IMMOptions
 
 
 def test_ablation_lt_selection(benchmark, config, report_writer):
@@ -16,12 +17,13 @@ def test_ablation_lt_selection(benchmark, config, report_writer):
         rows = []
         for code in codes:
             graph = config.graph(code, "LT")
-            common = dict(rng=config.seed, bounds=config.bounds(sweep=True),
-                          device_spec=config.device())
+            common = dict(rng=config.seed, device_spec=config.device(),
+                          options=IMMOptions(model="LT",
+                                             bounds=config.bounds(sweep=True)))
             scan = EIMEngine(lt_prefix_scan=True).run(
-                graph, config.default_k, config.default_epsilon, "LT", **common)
+                graph, config.default_k, config.default_epsilon, **common)
             atomic = EIMEngine(lt_prefix_scan=False).run(
-                graph, config.default_k, config.default_epsilon, "LT", **common)
+                graph, config.default_k, config.default_epsilon, **common)
             rows.append((code, scan, atomic))
         return rows
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.gpu.cost_model import CostModel
 from repro.imm.imm import run_imm
+from repro.imm.options import IMMOptions
 from repro.experiments.rendering import Series, format_series
 
 
@@ -23,8 +24,9 @@ def test_ablation_queue_and_sort(benchmark, config, report_writer):
     cost = CostModel(device)
 
     def run():
-        return run_imm(graph, 100, config.default_epsilon, "IC",
-                       rng=config.seed, bounds=config.bounds(sweep=True))
+        return run_imm(graph, 100, config.default_epsilon, rng=config.seed,
+                       options=IMMOptions(model="IC",
+                                          bounds=config.bounds(sweep=True)))
 
     imm = benchmark.pedantic(run, rounds=1, iterations=1)
     trace = imm.trace

@@ -6,6 +6,7 @@ the thread-based scan must win on datasets that generate many RRR sets.
 
 from repro.engines import EIMEngine
 from repro.experiments.rendering import Series, format_series
+from repro.imm import IMMOptions
 
 
 def test_ablation_scan_strategy(benchmark, config, report_writer):
@@ -15,12 +16,13 @@ def test_ablation_scan_strategy(benchmark, config, report_writer):
         rows = []
         for code in codes:
             graph = config.graph(code, "IC")
-            common = dict(rng=config.seed, bounds=config.bounds(sweep=True),
-                          device_spec=config.device())
+            common = dict(rng=config.seed, device_spec=config.device(),
+                          options=IMMOptions(model="IC",
+                                             bounds=config.bounds(sweep=True)))
             thread = EIMEngine(thread_scan=True).run(
-                graph, 100, config.default_epsilon, "IC", **common)
+                graph, 100, config.default_epsilon, **common)
             warp = EIMEngine(thread_scan=False).run(
-                graph, 100, config.default_epsilon, "IC", **common)
+                graph, 100, config.default_epsilon, **common)
             rows.append((code, thread, warp))
         return rows
 

@@ -8,7 +8,7 @@ to the CPU baseline.
 
 from repro.engines import CuRipplesEngine, EIMEngine, GIMEngine, RipplesCPUEngine
 from repro.experiments.rendering import Series, format_series
-from repro.imm import run_imm
+from repro.imm import IMMOptions, run_imm
 
 
 def test_extension_cpu_lineage(benchmark, config, report_writer):
@@ -18,21 +18,20 @@ def test_extension_cpu_lineage(benchmark, config, report_writer):
         rows = []
         for code in codes:
             graph = config.graph(code, "IC")
-            bounds = config.bounds(sweep=True)
+            options = IMMOptions(model="IC", bounds=config.bounds(sweep=True))
             vanilla = run_imm(graph, config.default_k, config.default_epsilon,
-                              "IC", rng=config.seed, bounds=bounds)
-            shared = dict(bounds=bounds, device_spec=config.device(),
-                          imm_result=vanilla)
+                              rng=config.seed, options=options)
+            shared = dict(device_spec=config.device(), imm_result=vanilla,
+                          options=options)
             cpu = RipplesCPUEngine().run(graph, config.default_k,
-                                         config.default_epsilon, "IC", **shared)
+                                         config.default_epsilon, **shared)
             cur = CuRipplesEngine().run(graph, config.default_k,
-                                        config.default_epsilon, "IC", **shared)
+                                        config.default_epsilon, **shared)
             gim = GIMEngine().run(graph, config.default_k,
-                                  config.default_epsilon, "IC", **shared)
+                                  config.default_epsilon, **shared)
             eim = EIMEngine().run(graph, config.default_k,
-                                  config.default_epsilon, "IC",
-                                  rng=config.seed, bounds=bounds,
-                                  device_spec=config.device())
+                                  config.default_epsilon, rng=config.seed,
+                                  device_spec=config.device(), options=options)
             rows.append((code, cpu, cur, gim, eim))
         return rows
 

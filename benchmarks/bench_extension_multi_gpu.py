@@ -7,7 +7,7 @@ per-iteration count all-reduce grows with device count.
 
 from repro.experiments.rendering import Series, format_series
 from repro.gpu.multi import run_multi_device_eim
-from repro.imm import run_imm
+from repro.imm import IMMOptions, run_imm
 
 
 def test_extension_multi_gpu_scaling(benchmark, config, report_writer):
@@ -15,9 +15,10 @@ def test_extension_multi_gpu_scaling(benchmark, config, report_writer):
     spec = config.device()
 
     def run():
-        imm = run_imm(graph, config.default_k, config.default_epsilon, "IC",
-                      rng=config.seed, eliminate_sources=True,
-                      bounds=config.bounds(sweep=True))
+        imm = run_imm(graph, config.default_k, config.default_epsilon,
+                      rng=config.seed,
+                      options=IMMOptions(model="IC", eliminate_sources=True,
+                                         bounds=config.bounds(sweep=True)))
         return {d: run_multi_device_eim(imm, graph, spec, d)
                 for d in (1, 2, 4, 8, 16)}
 

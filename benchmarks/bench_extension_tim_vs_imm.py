@@ -6,7 +6,7 @@ real workloads at identical (k, epsilon, guarantee) settings.
 """
 
 from repro.experiments.rendering import Series, format_series
-from repro.imm import run_imm
+from repro.imm import IMMOptions, run_imm
 from repro.imm.tim import run_tim
 
 
@@ -19,7 +19,8 @@ def test_extension_tim_vs_imm(benchmark, config, report_writer):
             graph = config.graph(code, "IC")
             bounds = config.bounds(sweep=True)
             tim = run_tim(graph, 20, 0.2, rng=config.seed, bounds=bounds)
-            imm = run_imm(graph, 20, 0.2, rng=config.seed, bounds=bounds)
+            imm = run_imm(graph, 20, 0.2, rng=config.seed,
+                          options=IMMOptions(bounds=bounds))
             rows.append((code, tim, imm))
         return rows
 

@@ -22,7 +22,7 @@ Gates (exit code 1 on violation):
 * **zero parity failures**: collections, seeds and stats bit-identical
   across modes in every cell;
 * ``auto`` never exceeds the kernel memory budget: the accounted
-  visited plane stays under ``REPRO_KERNEL_BUDGET_MB`` and a
+  visited plane stays under ``REPRO_MEMORY_BUDGET_MB`` and a
   tiny-budget run falls back without building a plane.
 
 Run from the repository root::
@@ -43,7 +43,8 @@ import numpy as np
 from repro import obs
 from repro.imm.coverage import CoverageIndex
 from repro.imm.seed_selection import select_seeds
-from repro.kernels import ENV_BUDGET_MB, plane_budget_bytes
+from repro.kernels import plane_budget_bytes
+from repro.memory.budget import ENV_MEMORY_BUDGET_MB
 from repro.rrr import get_sampler
 
 # -- sampling: deep-cascade ring recipe -------------------------------------
@@ -154,17 +155,17 @@ def run_budget_check(graph) -> dict:
     within = plane_bytes <= budget
 
     # a tiny budget must fall back to sorted without building any plane
-    prior = os.environ.get(ENV_BUDGET_MB)
-    os.environ[ENV_BUDGET_MB] = "0.001"
+    prior = os.environ.get(ENV_MEMORY_BUDGET_MB)
+    os.environ[ENV_MEMORY_BUDGET_MB] = "0.001"
     try:
         with obs.profiled() as handle:
             sampler(graph, 256, rng=3, visited_mode="auto", batch_size=256)
         fallback_report = handle.report()
     finally:
         if prior is None:
-            del os.environ[ENV_BUDGET_MB]
+            del os.environ[ENV_MEMORY_BUDGET_MB]
         else:
-            os.environ[ENV_BUDGET_MB] = prior
+            os.environ[ENV_MEMORY_BUDGET_MB] = prior
     fell_back = (
         fallback_report.counters.get("kernels.bitset.fallbacks", 0) >= 1
         and fallback_report.gauges.get("kernels.bitset.plane_bytes", 0) == 0

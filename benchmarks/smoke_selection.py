@@ -19,8 +19,7 @@ Gates:
 * identical seeds in both modes on every (phase, k) cell;
 * the incremental index touches **>= 2x fewer** index-build elements
   over the 3-phase run pattern (acceptance: >= 50% of per-phase
-  index-build work eliminated);
-* the ``lazy`` strategy returns bit-identical seeds/stats to ``fast``.
+  index-build work eliminated).
 
 Run from the repository root::
 
@@ -33,8 +32,6 @@ import argparse
 import json
 import time
 from pathlib import Path
-
-import numpy as np
 
 from repro import obs
 from repro.experiments.config import ExperimentConfig
@@ -106,28 +103,6 @@ def run_single_run_ratio(collection) -> dict:
     }
 
 
-def run_lazy_vs_fast(collection, k: int = 32) -> dict:
-    """Full-stream selection: lazy must match fast bit for bit."""
-    index = CoverageIndex.build(collection)
-    timings = {}
-    results = {}
-    for strategy in ("fast", "lazy"):
-        start = time.perf_counter()
-        results[strategy] = select_seeds(collection, k, strategy, index=index)
-        timings[strategy] = round(time.perf_counter() - start, 4)
-    fast, lazy = results["fast"], results["lazy"]
-    identical = bool(
-        np.array_equal(fast.seeds, lazy.seeds)
-        and np.array_equal(fast.marginal_gains, lazy.marginal_gains)
-        and np.array_equal(fast.stats.sets_scanned, lazy.stats.sets_scanned)
-        and np.array_equal(
-            fast.stats.elements_decremented, lazy.stats.elements_decremented
-        )
-    )
-    return {"k": k, "fast_seconds": timings["fast"],
-            "lazy_seconds": timings["lazy"], "identical": identical}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -141,7 +116,6 @@ def main(argv=None) -> int:
     rebuild = run_phase_loop(collection, incremental=False)
     incremental = run_phase_loop(collection, incremental=True)
     single = run_single_run_ratio(collection)
-    lazy = run_lazy_vs_fast(collection)
 
     seeds_match = rebuild.pop("seeds") == incremental.pop("seeds")
     ratio = rebuild["index_built_elements"] / max(
@@ -163,7 +137,6 @@ def main(argv=None) -> int:
             "seeds_match": seeds_match,
         },
         "single_run_3_phases": single,
-        "lazy_vs_fast": lazy,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(report, indent=2))
@@ -174,9 +147,6 @@ def main(argv=None) -> int:
         return 1
     if ratio < 2.0:
         print(f"FAIL: index-build elements ratio {ratio:.2f} < 2.0")
-        return 1
-    if not lazy["identical"]:
-        print("FAIL: lazy strategy diverged from fast")
         return 1
     return 0
 

@@ -9,7 +9,15 @@ Usage::
     python examples/engine_comparison.py
 """
 
-from repro import BoundsConfig, CuRipplesEngine, EIMEngine, GIMEngine, assign_ic_weights, load_dataset
+from repro import (
+    BoundsConfig,
+    CuRipplesEngine,
+    EIMEngine,
+    GIMEngine,
+    IMMOptions,
+    assign_ic_weights,
+    load_dataset,
+)
 from repro.gpu import RTX_A6000
 
 
@@ -32,8 +40,8 @@ def main() -> None:
     print(f"email-EuAll stand-in: {graph.n} vertices, {graph.m} edges")
     device = RTX_A6000.scaled(1000)  # a proportionally scaled-down A6000
     bounds = BoundsConfig(theta_scale=0.5)
-    kwargs = dict(k=50, epsilon=0.1, model="IC", rng=0,
-                  bounds=bounds, device_spec=device)
+    kwargs = dict(k=50, epsilon=0.1, rng=0, device_spec=device,
+                  options=IMMOptions(model="IC", bounds=bounds))
 
     eim = EIMEngine().run(graph, **kwargs)
     gim = GIMEngine().run(graph, **kwargs)

@@ -10,7 +10,7 @@ Usage::
     python examples/multi_gpu_scaling.py
 """
 
-from repro import BoundsConfig, assign_ic_weights, load_dataset, run_imm
+from repro import BoundsConfig, IMMOptions, assign_ic_weights, load_dataset, run_imm
 from repro.gpu import RTX_A6000, run_multi_device_eim
 
 
@@ -18,8 +18,9 @@ def main() -> None:
     graph = assign_ic_weights(load_dataset("CY", scale="tiny", rng=0))
     print(f"com-Youtube stand-in: {graph.n} vertices, {graph.m} edges")
     spec = RTX_A6000.scaled(1000)
-    imm = run_imm(graph, k=50, epsilon=0.1, rng=1, eliminate_sources=True,
-                  bounds=BoundsConfig(theta_scale=0.5))
+    imm = run_imm(graph, k=50, epsilon=0.1, rng=1,
+                  options=IMMOptions(eliminate_sources=True,
+                                     bounds=BoundsConfig(theta_scale=0.5)))
     print(f"workload: theta = {imm.theta} RRR sets, "
           f"{imm.collection.total_elements} stored elements\n")
 

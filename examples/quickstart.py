@@ -11,6 +11,7 @@ Usage::
 
 from repro import (
     BoundsConfig,
+    IMMOptions,
     assign_ic_weights,
     estimate_spread,
     load_dataset,
@@ -32,10 +33,12 @@ def main() -> None:
         graph,
         k=10,
         epsilon=0.1,
-        model="IC",
         rng=0,
-        eliminate_sources=True,  # eIM's §3.4 heuristic
-        bounds=BoundsConfig(theta_scale=0.5),  # lighter bounds for a demo
+        options=IMMOptions(
+            model="IC",
+            eliminate_sources=True,  # eIM's §3.4 heuristic
+            bounds=BoundsConfig(theta_scale=0.5),  # lighter bounds for a demo
+        ),
     )
     print(f"sampled theta = {result.theta} RRR sets "
           f"(lower bound on OPT: {result.lower_bound:.1f})")

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro import (
     BoundsConfig,
+    IMMOptions,
     assign_ic_weights,
     assign_lt_weights,
     estimate_spread,
@@ -31,10 +32,12 @@ def main() -> None:
     ic_graph = assign_ic_weights(base)
     bounds = BoundsConfig(theta_scale=0.3)
 
-    lt = run_imm(lt_graph, k=15, epsilon=0.15, model="LT", rng=1,
-                 bounds=bounds, eliminate_sources=True)
-    ic = run_imm(ic_graph, k=15, epsilon=0.15, model="IC", rng=1,
-                 bounds=bounds, eliminate_sources=True)
+    lt = run_imm(lt_graph, k=15, epsilon=0.15, rng=1,
+                 options=IMMOptions(model="LT", bounds=bounds,
+                                    eliminate_sources=True))
+    ic = run_imm(ic_graph, k=15, epsilon=0.15, rng=1,
+                 options=IMMOptions(model="IC", bounds=bounds,
+                                    eliminate_sources=True))
 
     sp_lt = estimate_spread(lt_graph, lt.seeds, "LT", 800, rng=2)
     sp_ic = estimate_spread(ic_graph, ic.seeds, "IC", 800, rng=2)

@@ -13,7 +13,14 @@ Usage::
 
 import numpy as np
 
-from repro import BoundsConfig, assign_ic_weights, estimate_spread, load_dataset, run_imm
+from repro import (
+    BoundsConfig,
+    IMMOptions,
+    assign_ic_weights,
+    estimate_spread,
+    load_dataset,
+    run_imm,
+)
 
 
 def main() -> None:
@@ -25,8 +32,8 @@ def main() -> None:
     print(f"{'budget k':>8}  {'IMM spread':>10}  {'top-degree':>10}  {'random':>8}  {'IMM gain/seed':>13}")
     previous = 0.0
     for k in (1, 2, 5, 10, 20, 40):
-        imm = run_imm(graph, k, epsilon=0.15, rng=2, bounds=bounds,
-                      eliminate_sources=True)
+        imm = run_imm(graph, k, epsilon=0.15, rng=2,
+                      options=IMMOptions(bounds=bounds, eliminate_sources=True))
         sp_imm = estimate_spread(graph, imm.seeds, "IC", 800, rng=rng)
         degree_seeds = np.argsort(graph.out_degrees())[-k:]
         sp_degree = estimate_spread(graph, degree_seeds, "IC", 800, rng=rng)

@@ -34,7 +34,7 @@ Layers (see DESIGN.md for the full inventory):
   (admission control, coalescing, multi-tier result cache);
 * :mod:`repro.experiments` — drivers for every paper table and figure;
 * :mod:`repro.obs` — span tracing, metrics, and profile exporters
-  (no-op unless installed; see ``run_imm(..., profile=True)``);
+  (no-op unless installed; see ``IMMOptions(profile=True)``);
 * :mod:`repro.resilience` — fault-tolerant sampling: supervised
   retries, serial degradation, RRR-store checkpointing, and the
   ``REPRO_FAULTS`` fault-injection harness.
@@ -59,7 +59,7 @@ from repro.imm import (
 )
 from repro.rrr import RRRCollection, sample_rrr_ic, sample_rrr_lt
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = sorted(
     set(_api_all)

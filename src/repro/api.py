@@ -2,8 +2,9 @@
 
 Everything importable from this module (equivalently, from the top-level
 ``repro`` package, which re-exports it) is covered by the project's
-compatibility promise: signatures and semantics only change with a
-deprecation cycle that names the removal release.  Anything reached by
+compatibility promise: signatures and semantics change only with a
+major release, whose removals the README lists ("Removed in 2.0").
+Anything reached by
 importing a submodule directly — ``repro.rrr.parallel``,
 ``repro.service.scheduler``, ``repro.imm.statistics``, engine internals
 — is an implementation detail that may change between releases without
@@ -12,7 +13,8 @@ the split.
 
 The surface, by layer:
 
-* **one-shot solving** — :func:`~repro.imm.imm.run_imm` with
+* **one-shot solving** — :func:`~repro.imm.imm.run_imm` in its one
+  call shape ``run_imm(graph, k, epsilon, rng=..., options=...)`` with
   :class:`~repro.imm.options.IMMOptions` /
   :class:`~repro.imm.bounds.BoundsConfig` /
   :class:`~repro.resilience.options.ResilienceOptions`, returning an

@@ -84,14 +84,6 @@ def _workload_parent(
     parent.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="persist warm-start RRR chunks under DIR and "
                              "resume from them on re-run")
-    parent.add_argument("--selection-strategy", default="fast",
-                        choices=["fast", "lazy", "reference"],
-                        help="greedy selection implementation: 'fast' "
-                             "(argmax + incremental inverted index), 'lazy' "
-                             "(CELF-style max-heap over exact marginal gains), "
-                             "'reference' (the Alg. 3 oracle); seeds and "
-                             "selection stats are bit-identical across all "
-                             "three")
     parent.add_argument("--visited-mode", default=None,
                         choices=["auto", "sorted", "bitset"],
                         help="sampler visited bookkeeping: 'bitset' keeps a "
@@ -261,7 +253,6 @@ def _cmd_seeds(args) -> int:
             model=args.model,
             eliminate_sources=not args.no_source_elimination,
             bounds=BoundsConfig(theta_scale=args.theta_scale),
-            selection_strategy=args.selection_strategy,
             n_jobs=args.jobs,
             profile=args.profile or args.profile_json is not None,
             resilience=resilience,
@@ -313,7 +304,6 @@ def _cmd_compare(args) -> int:
         job_timeout=args.timeout, max_retries=args.retries,
         checkpoint_dir=args.checkpoint_dir,
         data_plane=args.data_plane,
-        selection_strategy=args.selection_strategy,
         visited_mode=args.visited_mode,
         coverage_scan=args.coverage_scan,
     )

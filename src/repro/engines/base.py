@@ -8,27 +8,13 @@ from typing import Optional
 
 import numpy as np
 
-import warnings
-
 from repro import obs
 from repro.gpu.cost_model import CostModel
 from repro.gpu.device import DeviceSpec, SimulatedDevice
 from repro.graphs.csc import DirectedGraph
-from repro.imm.bounds import BoundsConfig
 from repro.imm.imm import IMMResult, run_imm
 from repro.imm.options import IMMOptions
 from repro.utils.errors import DeviceOOMError, ValidationError
-
-_UNSET = object()
-
-#: legacy Engine.run keywords that moved into IMMOptions, in signature order
-_LEGACY_RUN_KWARGS = (
-    "model",
-    "bounds",
-    "n_jobs",
-    "resilience",
-    "selection_strategy",
-)
 
 
 @dataclass
@@ -78,28 +64,21 @@ class Engine(ABC):
         graph: DirectedGraph,
         k: int,
         epsilon: float,
-        model=_UNSET,
+        *,
         rng=None,
-        bounds=_UNSET,
         device_spec: DeviceSpec | None = None,
         imm_result: IMMResult | None = None,
         pool=None,
         store=None,
-        n_jobs=_UNSET,
-        resilience=_UNSET,
-        selection_strategy=_UNSET,
-        *,
         options: IMMOptions | None = None,
     ) -> EngineResult:
         """Execute the engine and return seeds plus modeled device costs.
 
-        The stable call shape — identical across all four engines and
+        The call shape — identical across all four engines and
         mirroring :func:`~repro.imm.imm.run_imm` — is
-        ``engine.run(graph, k, epsilon, options=IMMOptions(...))``.  The
-        old per-knob keywords (``model=``, ``bounds=``, ``n_jobs=``,
-        ``resilience=``, ``selection_strategy=``) keep working through a
-        deprecation shim (removal in repro 2.0) but cannot be mixed with
-        ``options=``.  ``options.eliminate_sources`` is overridden by
+        ``engine.run(graph, k, epsilon, options=IMMOptions(...))``;
+        everything after ``epsilon`` is keyword-only.
+        ``options.eliminate_sources`` is overridden by
         the engine's own ``eliminate_sources`` — source elimination is
         an engine property (only eIM implements §3.4), not a workload
         knob.
@@ -114,15 +93,13 @@ class Engine(ABC):
         forwarded to :func:`run_imm` so all engines of one comparison
         share a single resident worker pool and, in sweeps, top up one
         cached sample instead of resampling.
-
-        ``options.selection_strategy`` picks the host greedy
-        implementation (``fast`` / ``lazy`` / ``reference``); all are
-        bit-identical in seeds and :class:`SelectionStats`, so modeled
-        device costs do not depend on it.
         """
-        options = self._resolve_options(
-            options, model, bounds, n_jobs, resilience, selection_strategy
-        )
+        if options is None:
+            options = IMMOptions()
+        elif not isinstance(options, IMMOptions):
+            raise ValidationError("options must be an IMMOptions instance")
+        # source elimination is part of what the engine *is*
+        options = options.replace(eliminate_sources=self.eliminate_sources)
         if pool is not None:
             options = options.replace(n_jobs=pool.n_jobs)
         device = SimulatedDevice(self._adapt_spec(device_spec))
@@ -180,45 +157,6 @@ class Engine(ABC):
             breakdown=device.breakdown(),
             imm=imm_result,
         )
-
-    def _resolve_options(
-        self, options, model, bounds, n_jobs, resilience, selection_strategy
-    ) -> IMMOptions:
-        """Fold the legacy per-knob keywords into one ``IMMOptions``.
-
-        Mirrors the :func:`~repro.imm.imm.run_imm` shim: legacy keywords
-        and ``options=`` are mutually exclusive; legacy use warns with
-        the removal release.  Whatever the source, the engine's own
-        ``eliminate_sources`` wins — it is part of what the engine *is*.
-        """
-        legacy = {
-            name: value
-            for name, value in zip(
-                _LEGACY_RUN_KWARGS,
-                (model, bounds, n_jobs, resilience, selection_strategy),
-            )
-            if value is not _UNSET
-        }
-        if options is not None and legacy:
-            raise ValidationError(
-                "pass options=IMMOptions(...) or the legacy keywords "
-                f"({', '.join(sorted(legacy))}), not both"
-            )
-        if options is None:
-            if legacy:
-                warnings.warn(
-                    f"{type(self).__name__}.run's per-knob keywords are "
-                    "deprecated and will be removed in repro 2.0; pass "
-                    "options=IMMOptions("
-                    + ", ".join(f"{k}=..." for k in sorted(legacy))
-                    + ")",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            options = IMMOptions(**legacy)
-        elif not isinstance(options, IMMOptions):
-            raise ValidationError("options must be an IMMOptions instance")
-        return options.replace(eliminate_sources=self.eliminate_sources)
 
     def _publish_metrics(self, device: SimulatedDevice) -> None:
         """Publish the device's cycle breakdown and peak memory into the

@@ -45,16 +45,11 @@ class EIMEngine(Engine):
         eliminate_sources: bool = True,
         thread_scan: bool = True,
         lt_prefix_scan: bool = True,
-        bitset_scan: bool = False,
     ):
         self.log_encoding = bool(log_encoding)
         self.eliminate_sources = bool(eliminate_sources)
         self.thread_scan = bool(thread_scan)
         self.lt_prefix_scan = bool(lt_prefix_scan)
-        # what-if variant (off by default, so the baseline engine keeps
-        # reproducing the paper's numbers): charge selection as the
-        # word-parallel bitset scan instead of the per-set probes
-        self.bitset_scan = bool(bitset_scan)
 
     # -- helpers ------------------------------------------------------------
     def _element_bits(self, n: int) -> int:
@@ -116,9 +111,7 @@ class EIMEngine(Engine):
     ) -> None:
         stats = imm.selection.stats
         bits = self._element_bits(graph.n)
-        if self.bitset_scan:
-            scan = cost.bitset_scan_cycles(stats, self.log_encoding, bits)
-        elif self.thread_scan:
+        if self.thread_scan:
             scan = cost.thread_scan_cycles(stats, self.log_encoding, bits)
         else:
             scan = cost.warp_scan_cycles(stats, self.log_encoding, bits)

@@ -18,7 +18,6 @@ whole suite stays CI-sized.  Environment overrides:
 ``REPRO_CHECKPOINT_DIR``   base dir for warm-start RRR checkpoints
 ``REPRO_FAULTS``           fault-injection plan (repro.resilience.faults)
 ``REPRO_DATA_PLANE``       ``shm`` (default where available) / ``pickle``
-``REPRO_SELECTION_STRATEGY``  ``fast`` (default) / ``lazy`` / ``reference``
 ``REPRO_VISITED_MODE``     ``auto`` (default) / ``sorted`` / ``bitset``
 ``REPRO_COVERAGE_SCAN``    ``auto`` (default) / ``csr`` / ``bitset``
 ========================  ============================================
@@ -94,10 +93,6 @@ class ExperimentConfig:
     #: then to "shm" where OS shared memory works.  Bit-identical output
     #: either way.
     data_plane: Optional[str] = None
-    #: greedy seed-selection implementation ("fast" / "lazy" /
-    #: "reference"); all three are bit-identical in seeds and stats, so
-    #: this is a host-performance knob only
-    selection_strategy: str = "fast"
     #: sampler visited bookkeeping ("auto" / "sorted" / "bitset"); None
     #: defers to REPRO_VISITED_MODE, then "auto".  Bit-identical output
     #: in every mode
@@ -137,10 +132,6 @@ class ExperimentConfig:
             kwargs["checkpoint_dir"] = os.environ["REPRO_CHECKPOINT_DIR"]
         if "REPRO_DATA_PLANE" in os.environ:
             kwargs["data_plane"] = os.environ["REPRO_DATA_PLANE"]
-        if "REPRO_SELECTION_STRATEGY" in os.environ:
-            kwargs["selection_strategy"] = (
-                os.environ["REPRO_SELECTION_STRATEGY"].strip().lower()
-            )
         if "REPRO_VISITED_MODE" in os.environ:
             kwargs["visited_mode"] = os.environ["REPRO_VISITED_MODE"]
         if "REPRO_COVERAGE_SCAN" in os.environ:
@@ -163,13 +154,6 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown data plane {self.data_plane!r}; "
                 "choose 'pickle' or 'shm' (or None for the default)"
-            )
-        from repro.imm.seed_selection import STRATEGIES
-
-        if self.selection_strategy not in STRATEGIES:
-            raise ValidationError(
-                f"unknown selection strategy {self.selection_strategy!r}; "
-                f"choose one of {STRATEGIES}"
             )
         from repro.kernels import resolve_coverage_scan, resolve_visited_mode
 

@@ -126,8 +126,9 @@ def fig4_log_encoding_memory(
     for code in config.datasets:
         graph = config.graph(code, "IC")
         result = run_imm(
-            graph, min(k, graph.n), epsilon, model="IC", rng=config.seed,
-            eliminate_sources=True, bounds=config.bounds(sweep=True),
+            graph, min(k, graph.n), epsilon, rng=config.seed,
+            options=IMMOptions(model="IC", eliminate_sources=True,
+                               bounds=config.bounds(sweep=True)),
         )
         coll = result.collection
         raw = coll.nbytes_raw() + graph.nbytes_csc()

@@ -199,7 +199,6 @@ def compare_engines(
                                    model=model, bounds=bounds,
                                    n_jobs=config.n_jobs,
                                    resilience=resilience,
-                                   selection_strategy=config.selection_strategy,
                                    visited_mode=config.visited_mode,
                                    coverage_scan=config.coverage_scan,
                                ))
@@ -213,7 +212,6 @@ def compare_engines(
                                    bounds=bounds, n_jobs=config.n_jobs,
                                    resilience=resilience,
                                    data_plane=config.data_plane,
-                                   selection_strategy=config.selection_strategy,
                                    visited_mode=config.visited_mode,
                                    coverage_scan=config.coverage_scan),
                 pool=pool, store=vanilla_store,

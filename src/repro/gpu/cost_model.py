@@ -207,27 +207,6 @@ class CostModel:
         update = self._update_cycles(stats, encoded, element_bits)
         return float(scan.sum() + update)
 
-    def bitset_scan_cycles(
-        self, stats: SelectionStats, encoded: bool = False, element_bits: int = 32
-    ) -> float:
-        """Word-parallel selection scan: the covered flags and each
-        vertex's set membership live in packed 64-bit words, so one
-        iteration is popcount(membership AND NOT covered) streamed over
-        ``ceil(theta / 64)`` words instead of a probe per set.
-
-        Charged as two coalesced word reads + one write per word (the
-        AND-NOT and the covered OR-back) plus one popcount ALU op, with
-        all launchable threads cooperating; count updates are identical
-        to the other scans.
-        """
-        s = self.spec
-        words = np.ceil(np.maximum(stats.sets_scanned, 1.0) / 64.0)
-        per_word = 3.0 * s.global_coalesced_per_elem + 2.0 * s.alu_cycles
-        iters = np.ceil(words / s.launchable_threads)
-        scan = iters * (per_word * s.warp_size + s.scan_iteration_overhead_cycles)
-        update = self._update_cycles(stats, encoded, element_bits)
-        return float(scan.sum() + update)
-
     def _update_cycles(
         self, stats: SelectionStats, encoded: bool, element_bits: int
     ) -> float:

@@ -10,7 +10,6 @@ analysis is exactly what makes this reuse sound).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -120,45 +119,24 @@ class IMMResult:
         return base
 
 
-_UNSET = object()
-
-#: legacy run_imm keywords that moved into IMMOptions, in signature order
-_LEGACY_OPTION_KWARGS = (
-    "model",
-    "eliminate_sources",
-    "bounds",
-    "selection_strategy",
-    "batch_size",
-    "profile",
-)
-
-
 def run_imm(
     graph: DirectedGraph,
     k: int,
     epsilon: float,
-    model=_UNSET,
-    rng=None,
-    eliminate_sources=_UNSET,
-    bounds=_UNSET,
-    selection_strategy=_UNSET,
-    batch_size=_UNSET,
-    profile=_UNSET,
     *,
+    rng=None,
     options: IMMOptions | None = None,
     pool: "SamplerPool | None" = None,
     store: "RRRStore | None" = None,
 ) -> IMMResult:
     """Run IMM end to end and return seeds plus full diagnostics.
 
-    The stable call shape is ``run_imm(graph, k, epsilon, rng=...,
-    options=IMMOptions(...))``: ``k`` seed-set size, ``epsilon``
-    approximation parameter (smaller -> more RRR sets), and every other
-    knob — model, source elimination, bounds, selection strategy, batch
-    size, worker count, profiling — bundled in the frozen
-    :class:`~repro.imm.options.IMMOptions`.  The old per-knob keywords
-    (``model=``, ``eliminate_sources=``, ...) keep working through a
-    deprecation shim but cannot be mixed with ``options=``.
+    ``k`` is the seed-set size and ``epsilon`` the approximation
+    parameter (smaller -> more RRR sets); every other knob — model,
+    source elimination, bounds, batch size, worker count, profiling —
+    is bundled in the frozen :class:`~repro.imm.options.IMMOptions`
+    (``None`` means the defaults).  Everything after ``epsilon`` is
+    keyword-only.
 
     With ``options.n_jobs > 1`` every sampling call fans out over a
     resident :class:`~repro.rrr.parallel.SamplerPool` (created once per
@@ -176,29 +154,10 @@ def run_imm(
     — per-phase spans plus sampler/selection metrics — is attached as
     ``IMMResult.profile``.
     """
-    legacy = {
-        name: value
-        for name, value in zip(
-            _LEGACY_OPTION_KWARGS,
-            (model, eliminate_sources, bounds, selection_strategy, batch_size, profile),
-        )
-        if value is not _UNSET
-    }
-    if options is not None and legacy:
-        raise ValidationError(
-            "pass options=IMMOptions(...) or the legacy keywords "
-            f"({', '.join(sorted(legacy))}), not both"
-        )
     if options is None:
-        if legacy:
-            warnings.warn(
-                "run_imm's per-knob keywords are deprecated and will be "
-                "removed in repro 2.0; pass "
-                "options=IMMOptions(" + ", ".join(f"{k}=..." for k in sorted(legacy)) + ")",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        options = IMMOptions(**legacy)
+        options = IMMOptions()
+    elif not isinstance(options, IMMOptions):
+        raise ValidationError("options must be an IMMOptions instance")
     if graph.weights is None:
         raise ValidationError("run_imm requires a weighted graph (assign_*_weights)")
     if not 1 <= k <= graph.n:
@@ -339,7 +298,6 @@ def _run_imm_core(
             with obs.span("imm.selection"):
                 sel = select_seeds(
                     collection, k,
-                    strategy=options.selection_strategy,
                     index=selection_index(),
                     scan=options.coverage_scan,
                 )
@@ -383,7 +341,6 @@ def _run_imm_core(
         with obs.span("imm.selection"):
             selection = select_seeds(
                 collection, k,
-                strategy=options.selection_strategy,
                 index=selection_index(),
                 scan=options.coverage_scan,
             )

@@ -1,10 +1,9 @@
 """The frozen options bundle behind :func:`repro.imm.run_imm`.
 
-``run_imm`` historically grew one positional keyword per knob; the
-stable public API is now ``run_imm(graph, k, epsilon, rng=...,
-options=IMMOptions(...))``.  The old keywords keep working through a
-deprecation shim (see :func:`repro.imm.imm.run_imm`) so existing
-callers migrate at their own pace.
+The one call shape of :func:`repro.imm.imm.run_imm` (and of every
+engine's ``run``) is ``run_imm(graph, k, epsilon, rng=...,
+options=IMMOptions(...))``: every knob beyond the request itself lives
+here.
 
 ``IMMOptions`` is frozen (hashable, safely shareable across runs of a
 sweep) and validates eagerly, so a bad knob fails at construction time
@@ -13,14 +12,13 @@ rather than mid-run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.imm.bounds import BoundsConfig
 from repro.resilience.options import ResilienceOptions
 from repro.utils.errors import ValidationError
 
 _MODELS = ("IC", "LT")
-_SELECTION_STRATEGIES = ("fast", "lazy", "reference")
 
 
 @dataclass(frozen=True)
@@ -37,11 +35,6 @@ class IMMOptions:
     bounds:
         :class:`~repro.imm.bounds.BoundsConfig` overriding the
         martingale sample-size bounds; ``None`` means exact bounds.
-    selection_strategy:
-        Greedy max-coverage implementation: ``"fast"`` (argmax +
-        inverted index), ``"lazy"`` (CELF-style max-heap over exact
-        marginal gains; same seeds and stats, cheaper once coverage
-        concentrates), or ``"reference"`` (the Alg. 3 oracle).
     batch_size:
         Sets per lockstep sampler batch (forwarded to pool workers).
     n_jobs:
@@ -83,14 +76,12 @@ class IMMOptions:
         planes fall back to sparse paths rather than exceed it.  Seeds
         are bit-identical at every budget — only wall-clock and
         residency change.  ``None`` defers to
-        ``REPRO_MEMORY_BUDGET_MB`` (then the legacy
-        ``REPRO_KERNEL_BUDGET_MB``), else unbounded.
+        ``REPRO_MEMORY_BUDGET_MB``, else unbounded.
     """
 
     model: str = "IC"
     eliminate_sources: bool = False
     bounds: BoundsConfig | None = None
-    selection_strategy: str = "fast"
     batch_size: int = 16384
     n_jobs: int = 1
     profile: bool = False
@@ -105,11 +96,6 @@ class IMMOptions:
         if self.model not in _MODELS:
             raise ValidationError(
                 f"unknown diffusion model {self.model!r}; choose IC or LT"
-            )
-        if self.selection_strategy not in _SELECTION_STRATEGIES:
-            raise ValidationError(
-                f"unknown selection strategy {self.selection_strategy!r}; "
-                f"choose one of {_SELECTION_STRATEGIES}"
             )
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
@@ -147,8 +133,3 @@ class IMMOptions:
     def replace(self, **changes) -> "IMMOptions":
         """A copy with ``changes`` applied (frozen-dataclass convenience)."""
         return replace(self, **changes)
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        """Names of all option fields (the legacy-keyword surface)."""
-        return tuple(f.name for f in fields(cls))

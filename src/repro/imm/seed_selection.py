@@ -5,24 +5,19 @@ Each of ``k`` iterations picks the vertex with the highest remaining count
 decrements the counts of all members of those sets — so ``C`` always holds
 exact marginal coverage gains.
 
-Three interchangeable implementations:
+Two implementations with identical seeds and identical
+:class:`SelectionStats`:
 
-* ``fast`` — inverted-index implementation (vertex -> element positions
-  via :class:`~repro.imm.coverage.CoverageIndex`), argmax over the count
-  array each iteration; the host-performance default.
-* ``lazy`` — the same index, but the argmax is replaced by a CELF-style
-  max-heap over marginal gains.  For max coverage the maintained counts
-  *are* the exact marginal gains (submodularity makes stale heap
-  entries upper bounds), so lazy popping is exact — identical seeds,
-  identical stats — while touching O(pops · log n) instead of O(n) per
-  iteration once coverage concentrates.
-* ``reference`` — a literal transcription of Alg. 3: every uncovered set
-  is scanned with a binary search per iteration.  Quadratic-ish and used
-  by the tests as the semantics oracle.
+* :func:`select_seeds` — the inverted-index implementation (vertex ->
+  element positions via :class:`~repro.imm.coverage.CoverageIndex`),
+  argmax over the count array each iteration; the one path every
+  caller runs.
+* :func:`select_seeds_reference` — a literal transcription of Alg. 3:
+  every uncovered set is scanned with a binary search per iteration.
+  Quadratic-ish and used by the tests as the semantics oracle.
 
-All strategies produce identical seeds and identical
-:class:`SelectionStats`; the stats drive the simulated-GPU scan cost
-models (thread- vs warp-based, Fig. 3).
+The stats drive the simulated-GPU scan cost models (thread- vs
+warp-based, Fig. 3).
 
 Callers that select repeatedly over a growing collection — IMM's
 estimation phases, the warm-start store's k/ε sweeps, Fig. 3's prefix
@@ -34,7 +29,6 @@ per *call*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -51,9 +45,6 @@ from repro.kernels import (
 from repro.rrr.collection import RRRCollection
 from repro.utils.errors import ValidationError
 from repro.utils.segments import segmented_arange
-
-#: every implementation select_seeds accepts
-STRATEGIES = ("fast", "lazy", "reference")
 
 
 @dataclass
@@ -88,7 +79,6 @@ class SelectionResult:
 def select_seeds(
     collection: RRRCollection,
     k: int,
-    strategy: str = "fast",
     index: CoverageIndex | None = None,
     scan: str | None = None,
 ) -> SelectionResult:
@@ -101,21 +91,18 @@ def select_seeds(
 
     ``index`` — an optional :class:`CoverageIndex` whose stream prefix
     matches ``collection.flat`` (it may cover *more* elements, e.g. the
-    store's full cached sample behind a prefix view); when omitted the
-    ``fast``/``lazy`` strategies build a throwaway one.
+    store's full cached sample behind a prefix view); when omitted a
+    throwaway one is built.
 
-    ``scan`` — how ``fast``/``lazy`` compute the newly covered sets of
-    each pick: ``"csr"`` walks the vertex's postings element-wise,
-    ``"bitset"`` takes popcount(membership AND NOT covered) over packed
-    words (the host mirror of §3.5 thread-based scanning), ``"auto"``
-    (or ``None``, via ``REPRO_COVERAGE_SCAN``) picks bitset when the
-    membership plane fits the kernel memory budget.  Seeds and
-    :class:`SelectionStats` are bit-identical across scans.
+    ``scan`` — how the newly covered sets of each pick are computed:
+    ``"csr"`` walks the vertex's postings element-wise, ``"bitset"``
+    takes popcount(membership AND NOT covered) over packed words (the
+    host mirror of §3.5 thread-based scanning), ``"auto"`` (or ``None``,
+    via ``REPRO_COVERAGE_SCAN``) picks bitset when the membership plane
+    fits the memory budget.  Seeds and :class:`SelectionStats` are
+    bit-identical across scans.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if k > collection.n:
-        raise ValidationError(f"k={k} exceeds the number of vertices {collection.n}")
+    _check_k(collection, k)
     if index is not None:
         if index.n != collection.n:
             raise ValidationError(
@@ -126,15 +113,8 @@ def select_seeds(
                 f"index covers {index.num_elements} elements, collection has "
                 f"{collection.total_elements}; extend the index first"
             )
-    if strategy in ("fast", "lazy"):
-        scan_impl = choose_scan_impl(scan, collection.n, collection.num_sets)
-        result = _greedy_indexed(
-            collection, k, index, lazy=strategy == "lazy", scan_impl=scan_impl
-        )
-    elif strategy == "reference":
-        result = _greedy_reference(collection, k)
-    else:
-        raise ValidationError(f"unknown selection strategy {strategy!r}")
+    scan_impl = choose_scan_impl(scan, collection.n, collection.num_sets)
+    result = _greedy_indexed(collection, k, index, scan_impl)
     if obs.enabled():
         obs.counter_add("selection.iterations", k)
         obs.counter_add("selection.sets_scanned", int(result.stats.sets_scanned.sum()))
@@ -145,12 +125,18 @@ def select_seeds(
     return result
 
 
+def _check_k(collection: RRRCollection, k: int) -> None:
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if k > collection.n:
+        raise ValidationError(f"k={k} exceeds the number of vertices {collection.n}")
+
+
 def _greedy_indexed(
     collection: RRRCollection,
     k: int,
     index: CoverageIndex | None,
-    lazy: bool,
-    scan_impl: str = "csr",
+    scan_impl: str,
 ) -> SelectionResult:
     flat = collection.flat
     offsets = collection.offsets
@@ -204,28 +190,8 @@ def _greedy_indexed(
     decremented = np.empty(k, dtype=np.int64)
     covered_total = 0
 
-    if lazy:
-        # CELF-style max-heap keyed (-gain, vertex): counts only ever
-        # decrease, so a popped stored gain is an upper bound; a fresh
-        # top is therefore an exact argmax, and the vertex component
-        # preserves the lowest-id tie-break among equal gains
-        heap = [(-int(c), v) for v, c in enumerate(counts)]
-        heapify(heap)
-        pops = 0
-        reevals = 0
-
     for it in range(k):
-        if lazy:
-            while True:
-                neg_gain, v = heappop(heap)
-                pops += 1
-                current = int(counts[v])
-                if -neg_gain == current:
-                    break
-                reevals += 1
-                heappush(heap, (-current, v))
-        else:
-            v = int(np.argmax(counts))
+        v = int(np.argmax(counts))
         seeds[it] = v
         scanned[it] = num_sets - covered_total  # Alg. 3 scans uncovered sets
         if word_scan:
@@ -258,10 +224,6 @@ def _greedy_indexed(
             decremented[it] = 0
         counts[v] = -1  # mask: selected vertices must never win again
 
-    if lazy and obs.enabled():
-        obs.counter_add("selection.lazy.pops", pops)
-        obs.counter_add("selection.lazy.reevals", reevals)
-
     stats = SelectionStats(
         sets_scanned=scanned,
         sets_found=found,
@@ -277,8 +239,13 @@ def _greedy_indexed(
     )
 
 
-def _greedy_reference(collection: RRRCollection, k: int) -> SelectionResult:
-    """Literal Alg. 3: binary-search every uncovered set per iteration."""
+def select_seeds_reference(collection: RRRCollection, k: int) -> SelectionResult:
+    """Literal Alg. 3: binary-search every uncovered set per iteration.
+
+    The semantics oracle for :func:`select_seeds`: identical seeds,
+    gains and :class:`SelectionStats`, at quadratic-ish cost.
+    """
+    _check_k(collection, k)
     flat = collection.flat
     offsets = collection.offsets
     num_sets = collection.num_sets

@@ -23,7 +23,6 @@ from repro.kernels.bitset import (
 from repro.kernels.modes import (
     COVERAGE_SCANS,
     DEFAULT_PLANE_BUDGET_BYTES,
-    ENV_BUDGET_MB,
     ENV_COVERAGE_SCAN,
     ENV_VISITED_MODE,
     VISITED_MODES,
@@ -49,7 +48,6 @@ __all__ = [
     "words_for_bits",
     "COVERAGE_SCANS",
     "DEFAULT_PLANE_BUDGET_BYTES",
-    "ENV_BUDGET_MB",
     "ENV_COVERAGE_SCAN",
     "ENV_VISITED_MODE",
     "VISITED_MODES",

@@ -26,9 +26,6 @@ COVERAGE_SCANS = ("auto", "csr", "bitset")
 
 ENV_VISITED_MODE = "REPRO_VISITED_MODE"
 ENV_COVERAGE_SCAN = "REPRO_COVERAGE_SCAN"
-#: legacy name; both it and REPRO_MEMORY_BUDGET_MB now feed the shared
-#: governor (see :mod:`repro.memory.budget`)
-ENV_BUDGET_MB = "REPRO_KERNEL_BUDGET_MB"
 
 #: default ceiling for any single dense bit plane (visited plane or
 #: membership plane); ``auto`` falls back to the sparse path above it
@@ -39,9 +36,9 @@ def plane_budget_bytes() -> int:
     """The dense-plane byte budget.
 
     The process memory budget (``IMMOptions(memory_budget_mb=)`` /
-    ``REPRO_MEMORY_BUDGET_MB`` / legacy ``REPRO_KERNEL_BUDGET_MB``) when
-    one is set, else a conservative per-plane default — a process that
-    never configured a budget still refuses pathological dense planes.
+    ``REPRO_MEMORY_BUDGET_MB``) when one is set, else a conservative
+    per-plane default — a process that never configured a budget still
+    refuses pathological dense planes.
     """
     budget = governor().budget_bytes
     if budget is None:

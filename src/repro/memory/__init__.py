@@ -17,8 +17,7 @@ governor (:func:`governor`):
 
 With no budget configured the governor is a pure ledger (the gauges
 still publish).  With a budget — ``IMMOptions(memory_budget_mb=)``,
-``REPRO_MEMORY_BUDGET_MB``, or ``--memory-budget-mb``; the pre-PR-10
-``REPRO_KERNEL_BUDGET_MB`` is kept as an alias — reservations that
+``REPRO_MEMORY_BUDGET_MB``, or ``--memory-budget-mb`` — reservations that
 would overshoot trigger *demotion* through registered pressure
 handlers: hot RRR chunks compress in place
 (:mod:`repro.memory.tiers`, bit-identical bitpack round-trip), then

@@ -1,9 +1,9 @@
 """The :class:`MemoryBudget` ledger: one accountant for every byte.
 
-Before PR 10 each subsystem guessed at memory on its own: the kernel
-planes checked a private ``REPRO_KERNEL_BUDGET_MB`` ceiling, the
-RRR store and chunk arena grew without bound, and the serving tier
-found out about host pressure only when ``MemoryError`` surfaced.
+Without it each subsystem guesses at memory on its own: the kernel
+planes check a private ceiling, the RRR store and chunk arena grow
+without bound, and the serving tier finds out about host pressure only
+when ``MemoryError`` surfaces.
 HBMax's central observation — compressed, *budgeted* RRR storage is
 what lets parallel IM scale on bounded-memory machines — needs the
 opposite: a single ledger that every byte-holder reports to, and a
@@ -27,10 +27,7 @@ actively steers toward, never a hard wall that turns into a crash
 Budget resolution, highest precedence first: an explicit
 :meth:`set_budget` / :func:`budget_scope` (how
 ``IMMOptions(memory_budget_mb=)`` and ``--memory-budget-mb`` apply),
-then ``REPRO_MEMORY_BUDGET_MB``, then the legacy
-``REPRO_KERNEL_BUDGET_MB`` (kept as an alias — it used to gate only
-the kernel planes, now it feeds the shared accountant), else
-unbounded.
+then ``REPRO_MEMORY_BUDGET_MB``, else unbounded.
 """
 
 from __future__ import annotations
@@ -45,8 +42,6 @@ from repro import obs
 from repro.utils.errors import ValidationError
 
 ENV_MEMORY_BUDGET_MB = "REPRO_MEMORY_BUDGET_MB"
-#: pre-PR-10 kernel-plane budget, kept as an alias for the shared one
-ENV_KERNEL_BUDGET_MB = "REPRO_KERNEL_BUDGET_MB"
 
 #: storage tiers, cheapest-to-touch first
 TIERS = ("resident", "compressed", "spilled")
@@ -68,10 +63,9 @@ def _parse_mb(raw: str, name: str) -> int:
 
 def env_budget_bytes() -> Optional[int]:
     """The budget the environment asks for (``None`` = unbounded)."""
-    for name in (ENV_MEMORY_BUDGET_MB, ENV_KERNEL_BUDGET_MB):
-        raw = os.environ.get(name)
-        if raw is not None and str(raw).strip():
-            return _parse_mb(raw, name)
+    raw = os.environ.get(ENV_MEMORY_BUDGET_MB)
+    if raw is not None and str(raw).strip():
+        return _parse_mb(raw, ENV_MEMORY_BUDGET_MB)
     return None
 
 

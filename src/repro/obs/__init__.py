@@ -21,8 +21,9 @@ or, scoped::
         run_imm(...)
     print(obs.render_table(handle.report()))
 
-``run_imm(..., profile=True)`` wraps exactly this and attaches the
-report to ``IMMResult.profile``; the CLI's ``--profile`` flag prints it.
+``run_imm(..., options=IMMOptions(profile=True))`` wraps exactly this
+and attaches the report to ``IMMResult.profile``; the CLI's
+``--profile`` flag prints it.
 """
 
 from __future__ import annotations

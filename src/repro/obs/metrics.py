@@ -4,8 +4,9 @@
 * **Gauges** hold the last value set; :meth:`MetricsRegistry.gauge_max`
   keeps a running maximum instead — how peak byte sizes of the ``flat``
   / ``offsets`` arrays are tracked across IMM's growing sample.
-* **Histograms** store raw observations and summarize on demand
-  (count / sum / min / max / mean).
+* **Histograms** keep running count / sum / min / max per name (the
+  mean is derived), so a long-running server's state stays O(1) per
+  name however many values it observes.
 
 :class:`NullMetrics` is the no-op twin installed by default.
 """
@@ -18,12 +19,13 @@ import math
 class MetricsRegistry:
     """In-memory metric store; all values are plain Python numbers."""
 
-    __slots__ = ("counters", "gauges", "_observations")
+    __slots__ = ("counters", "gauges", "_histograms")
 
     def __init__(self):
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self._observations: dict[str, list[float]] = {}
+        #: name -> [count, sum, min, max]
+        self._histograms: dict[str, list] = {}
 
     # -- write paths ---------------------------------------------------------
     def counter_add(self, name: str, value: float = 1) -> None:
@@ -38,23 +40,34 @@ class MetricsRegistry:
             self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        self._observations.setdefault(name, []).append(float(value))
+        value = float(value)
+        state = self._histograms.get(name)
+        if state is None:
+            self._histograms[name] = [1, value, value, value]
+            return
+        state[0] += 1
+        state[1] += value
+        if value < state[2]:
+            state[2] = value
+        if value > state[3]:
+            state[3] = value
 
     # -- read paths ----------------------------------------------------------
     def histogram_summary(self, name: str) -> dict[str, float]:
-        obs = self._observations.get(name, [])
-        if not obs:
+        state = self._histograms.get(name)
+        if state is None:
             return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
+        count, total, lo, hi = state
         return {
-            "count": len(obs),
-            "sum": sum(obs),
-            "min": min(obs),
-            "max": max(obs),
-            "mean": sum(obs) / len(obs),
+            "count": count,
+            "sum": total,
+            "min": lo,
+            "max": hi,
+            "mean": total / count,
         }
 
     def histograms(self) -> dict[str, dict[str, float]]:
-        return {name: self.histogram_summary(name) for name in self._observations}
+        return {name: self.histogram_summary(name) for name in self._histograms}
 
     def snapshot(self) -> dict:
         """A JSON-ready view of everything recorded."""
@@ -67,7 +80,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         self.counters.clear()
         self.gauges.clear()
-        self._observations.clear()
+        self._histograms.clear()
 
 
 class NullMetrics:

@@ -1,9 +1,10 @@
 """Span-based tracing: nested wall-clock timing of named code regions.
 
 A :class:`Tracer` hands out context managers via :meth:`Tracer.span`;
-entering a span pushes it on a stack (so spans nest lexically) and
-exiting records a :class:`SpanRecord` carrying the full slash-separated
-path, the nesting depth, and start/duration in seconds.
+entering a span pushes it on the calling thread's stack (so spans nest
+lexically per thread, and concurrent threads never see each other's
+nesting) and exiting records a :class:`SpanRecord` carrying the full
+slash-separated path, the nesting depth, and start/duration in seconds.
 
 The default installed tracer is a :class:`NullTracer` whose ``span``
 returns one shared, allocation-free context manager — the zero-cost
@@ -12,6 +13,7 @@ path every hot loop takes when profiling is off.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -38,9 +40,10 @@ class _ActiveSpan:
 
     def __enter__(self) -> "_ActiveSpan":
         tracer = self._tracer
-        tracer._stack.append(self._name)
-        self._depth = len(tracer._stack) - 1
-        self._path = "/".join(tracer._stack)
+        stack = tracer._stack
+        stack.append(self._name)
+        self._depth = len(stack) - 1
+        self._path = "/".join(stack)
         self._start = tracer._clock()
         return self
 
@@ -64,20 +67,30 @@ class Tracer:
     """Collects :class:`SpanRecord` entries in completion order.
 
     ``clock`` is injectable (defaults to :func:`time.perf_counter`) so
-    tests can drive deterministic timings.
+    tests can drive deterministic timings.  Records from every thread
+    land in one list; each thread nests its spans on its own stack.
     """
 
     def __init__(self, clock=time.perf_counter):
         self._clock = clock
-        self._stack: list[str] = []
+        self._local = threading.local()
         self.records: list[SpanRecord] = []
+
+    @property
+    def _stack(self) -> list[str]:
+        """The calling thread's stack of open span names."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            self._local.stack = stack = []
+            return stack
 
     def span(self, name: str) -> _ActiveSpan:
         """A context manager timing the enclosed region as ``name``."""
         return _ActiveSpan(self, name)
 
     def reset(self) -> None:
-        self._stack.clear()
+        self._local = threading.local()
         self.records.clear()
 
 

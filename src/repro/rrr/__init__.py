@@ -41,10 +41,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # SamplerPool/shared_pool pull in concurrent.futures and RRRStore
+    # the parallel samplers pull in concurrent.futures and RRRStore
     # builds on them; resolve lazily so the multiprocessing machinery
     # stays out of the import path of single-process users.
-    if name in ("SamplerPool", "shared_pool", "shutdown_pools"):
+    if name in (
+        "SamplerPool", "sample_rrr_parallel", "shared_pool", "shutdown_pools"
+    ):
         from repro.rrr import parallel
 
         return getattr(parallel, name)
@@ -57,17 +59,6 @@ def __getattr__(name: str):
 
         return clear_selection_indices
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def sample_rrr_parallel(*args, **kwargs):
-    """Process-parallel sampling; see :mod:`repro.rrr.parallel`.
-
-    Imported lazily so the multiprocessing machinery stays out of the
-    import path of single-process users.
-    """
-    from repro.rrr.parallel import sample_rrr_parallel as _impl
-
-    return _impl(*args, **kwargs)
 
 
 def get_sampler(model: str):

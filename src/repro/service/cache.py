@@ -12,7 +12,7 @@ Two tiers, from cheapest to most expensive:
   prefix-deterministic) plus the persistent
   :class:`~repro.imm.coverage.CoverageIndex` riding on it — keyed by
   the coalescing key.  A new ``(k, ε)`` against a warm substrate reuses
-  the indexed RRR prefix and only re-runs lazy selection; only a theta
+  the indexed RRR prefix and only re-runs selection; only a theta
   beyond the cached prefix samples, and only the deficit.
 
 Both tiers are thread-safe; the substrate table additionally tracks
@@ -157,20 +157,20 @@ class ExactResultCache:
         """Best epsilon-relaxed stand-in for ``key`` (degraded serving).
 
         Scans for entries that differ from ``key`` only in epsilon
-        (result-key index ``-3``) and whose epsilon is at most
+        (result-key index ``-2``) and whose epsilon is at most
         ``slack * key_epsilon``; returns ``(cached_epsilon, result)``
         for the tightest such entry, preferring any ``epsilon' <=
         epsilon`` (a strictly better answer) over looser ones.  Does
         not touch LRU order — degraded reads shouldn't pin entries the
         healthy path isn't using.
         """
-        epsilon = float(key[-3])
+        epsilon = float(key[-2])
         best: "Optional[tuple[float, IMMResult]]" = None
         with self._lock:
             for entry_key, result in self._entries.items():
-                if entry_key[:-3] != key[:-3] or entry_key[-2:] != key[-2:]:
+                if entry_key[:-2] != key[:-2] or entry_key[-1] != key[-1]:
                     continue
-                cached_eps = float(entry_key[-3])
+                cached_eps = float(entry_key[-2])
                 if cached_eps > slack * epsilon:
                     continue
                 if best is None or cached_eps < best[0]:

@@ -32,7 +32,7 @@ class ServiceOptions:
         (admission control / backpressure) instead of queueing unbounded.
     exact_cache_size:
         Capacity of the tier-1 exact result cache (LRU over
-        ``(stream key, k, epsilon, bounds, selection strategy)`` →
+        ``(stream key, k, epsilon, bounds)`` →
         :class:`~repro.imm.imm.IMMResult`).  ``0`` disables the tier.
     max_substrates:
         Capacity of the tier-2 substrate table (LRU over coalescing key

@@ -13,7 +13,7 @@ the query's RRR stream.  Two keys derive from it:
   :class:`~repro.imm.coverage.CoverageIndex`, so a burst of ``(k, ε)``
   variants costs O(max θ) sampling total;
 * the **result key** — the coalescing key plus everything that shapes
-  the *answer* (``k``, ``epsilon``, bounds, selection strategy).  It
+  the *answer* (``k``, ``epsilon``, bounds).  It
   addresses the tier-1 exact cache.
 
 Because the substrate's stream is prefix-deterministic (a pure function
@@ -54,7 +54,7 @@ class InfluenceQuery:
         IMM approximation parameter.
     options:
         The algorithmic knob bundle for this query (model, elimination,
-        bounds, selection strategy, fan-out, ...).
+        bounds, fan-out, ...).
     entropy:
         Root entropy of the query's RRR stream (an int or tuple of
         ints).  Queries that should share sampling work must share it;
@@ -119,7 +119,6 @@ class InfluenceQuery:
             int(self.k),
             float(self.epsilon),
             self.options.bounds,
-            self.options.selection_strategy,
         )
 
 

@@ -17,8 +17,7 @@ Request schema (all keys optional unless noted)::
      "k": 10,                             # required
      "epsilon": 0.2,                      # required
      "model": "IC", "eliminate_sources": false,
-     "entropy": 0, "selection_strategy": "fast",
-     "n_jobs": 1, "theta_scale": null,
+     "entropy": 0, "n_jobs": 1, "theta_scale": null,
      "deadline": 5.0}                     # per-query budget, seconds
 
     {"health": true}                      # readiness snapshot instead
@@ -73,7 +72,7 @@ from repro.utils.errors import (
 
 _REQUEST_FIELDS = {
     "graph", "dataset", "scale", "graph_seed", "k", "epsilon", "model",
-    "eliminate_sources", "entropy", "selection_strategy", "n_jobs",
+    "eliminate_sources", "entropy", "n_jobs",
     "batch_size", "theta_scale", "data_plane", "visited_mode",
     "coverage_scan", "deadline",
 }
@@ -128,7 +127,6 @@ def build_query(service: InfluenceService, request: dict) -> InfluenceQuery:
         model=model,
         eliminate_sources=bool(request.get("eliminate_sources", False)),
         bounds=bounds,
-        selection_strategy=str(request.get("selection_strategy", "fast")),
         n_jobs=int(request.get("n_jobs", 1)),
         batch_size=int(request.get("batch_size", 16384)),
         data_plane=request.get("data_plane"),

@@ -1,12 +1,15 @@
-"""Incremental selection: strategy parity end-to-end and index reuse.
+"""Incremental selection: oracle parity end-to-end and index reuse.
 
 The :class:`~repro.imm.coverage.CoverageIndex` promises two things the
-unit tests can't fully exercise: (1) every selection strategy produces
-bit-identical seeds *and* :class:`SelectionStats` through a whole
-``run_imm`` (phase loop + final selection), on both diffusion models,
-with and without source elimination; (2) a store-backed sweep builds
-each posting exactly once — top-ups and checkpoint resume extend the
-same index instead of rebuilding it.
+unit tests can't fully exercise: (1) the indexed greedy that
+``run_imm`` runs produces bit-identical seeds *and*
+:class:`SelectionStats` to the Alg. 3 oracle
+(:func:`~repro.imm.seed_selection.select_seeds_reference`) on the
+collection a whole ``run_imm`` (phase loop + final selection) ends
+with and on prefix views of it, on both diffusion models, with and
+without source elimination; (2) a store-backed sweep builds each
+posting exactly once — top-ups and checkpoint resume extend the same
+index instead of rebuilding it.
 """
 
 import numpy as np
@@ -14,7 +17,8 @@ import pytest
 
 from repro import obs
 from repro.imm import IMMOptions, run_imm
-from repro.imm.seed_selection import STRATEGIES
+from repro.imm.coverage import CoverageIndex
+from repro.imm.seed_selection import select_seeds, select_seeds_reference
 from repro.rrr.store import RRRStore, clear_stores
 
 EPSILON = 0.4
@@ -28,51 +32,58 @@ def _fresh_registry():
     clear_stores()
 
 
-def _assert_runs_identical(a, b):
+def _assert_selections_identical(a, b):
     assert np.array_equal(a.seeds, b.seeds)
-    assert a.theta == b.theta
-    assert np.array_equal(a.selection.marginal_gains, b.selection.marginal_gains)
-    sa, sb = a.selection.stats, b.selection.stats
+    assert a.covered_sets == b.covered_sets and a.num_sets == b.num_sets
+    assert np.array_equal(a.marginal_gains, b.marginal_gains)
+    sa, sb = a.stats, b.stats
     assert np.array_equal(sa.sets_scanned, sb.sets_scanned)
     assert np.array_equal(sa.sets_found, sb.sets_found)
     assert np.array_equal(sa.elements_decremented, sb.elements_decremented)
     assert sa.avg_set_size == sb.avg_set_size
 
 
-# -- strategy parity through run_imm ----------------------------------------
+def _assert_runs_identical(a, b):
+    assert a.theta == b.theta
+    _assert_selections_identical(a.selection, b.selection)
+
+
+def _assert_matches_oracle(result, index):
+    """``result``'s selection, and indexed selection over prefix views
+    of its collection, equal the Alg. 3 oracle."""
+    collection = result.collection
+    _assert_selections_identical(
+        result.selection, select_seeds_reference(collection, result.k)
+    )
+    for num_sets in (1, collection.num_sets // 3, collection.num_sets - 1):
+        prefix = collection.prefix(num_sets)
+        _assert_selections_identical(
+            select_seeds(prefix, result.k, index=index),
+            select_seeds_reference(prefix, result.k),
+        )
+
+
+# -- oracle parity through run_imm -------------------------------------------
 @pytest.mark.parametrize("model", ["IC", "LT"])
 @pytest.mark.parametrize("eliminate", [False, True])
 def test_strategies_identical_through_run_imm(
     small_ic_graph, small_lt_graph, model, eliminate
 ):
     graph = small_ic_graph if model == "IC" else small_lt_graph
-    results = {
-        strategy: run_imm(
-            graph, K, EPSILON, rng=17,
-            options=IMMOptions(
-                model=model,
-                eliminate_sources=eliminate,
-                selection_strategy=strategy,
-            ),
-        )
-        for strategy in STRATEGIES
-    }
-    _assert_runs_identical(results["fast"], results["lazy"])
-    _assert_runs_identical(results["fast"], results["reference"])
+    result = run_imm(
+        graph, K, EPSILON, rng=17,
+        options=IMMOptions(model=model, eliminate_sources=eliminate),
+    )
+    _assert_matches_oracle(result, CoverageIndex.build(result.collection))
 
 
 def test_store_backed_strategies_identical(small_ic_graph):
-    results = {}
-    for strategy in STRATEGIES:
-        store = RRRStore(small_ic_graph, entropy=(5, 5), chunk_sets=256)
-        results[strategy] = run_imm(
-            small_ic_graph, K, EPSILON, rng=17,
-            options=IMMOptions(selection_strategy=strategy),
-            store=store,
-        )
-        store.close()
-    _assert_runs_identical(results["fast"], results["lazy"])
-    _assert_runs_identical(results["fast"], results["reference"])
+    store = RRRStore(small_ic_graph, entropy=(5, 5), chunk_sets=256)
+    result = run_imm(small_ic_graph, K, EPSILON, rng=17, store=store)
+    # the store's index may run past the run's collection (chunk
+    # overshoot): selection over prefix views must clip it
+    _assert_matches_oracle(result, store.coverage_index())
+    store.close()
 
 
 # -- index reuse across ensure top-ups --------------------------------------
@@ -105,8 +116,6 @@ def test_store_index_persists_across_topups(small_ic_graph):
 
 
 def test_store_index_matches_fresh_build_after_topups(small_ic_graph):
-    from repro.imm.coverage import CoverageIndex
-
     store = RRRStore(small_ic_graph, entropy=(1, 2), chunk_sets=128)
     for theta in (200, 450, 1000):
         store.ensure(theta)
@@ -131,7 +140,6 @@ def test_sweep_reuses_index_across_k_cells(small_ic_graph):
         for k in (2, 4, 8):
             seeds[k] = run_imm(
                 small_ic_graph, k, EPSILON, rng=17,
-                options=IMMOptions(selection_strategy="lazy"),
                 store=store,
             ).seeds
     counters = handle.report().counters
@@ -153,7 +161,6 @@ def test_checkpoint_resumed_store_index_parity(small_ic_graph, tmp_path):
     )
     cold = run_imm(
         small_ic_graph, K, EPSILON, rng=17,
-        options=IMMOptions(selection_strategy="lazy"),
         store=cold_store,
     )
     cold_index = cold_store.coverage_index()
@@ -167,7 +174,6 @@ def test_checkpoint_resumed_store_index_parity(small_ic_graph, tmp_path):
     with obs.profiled() as handle:
         resumed = run_imm(
             small_ic_graph, K, EPSILON, rng=17,
-            options=IMMOptions(selection_strategy="lazy"),
             store=resumed_store,
         )
     counters = handle.report().counters

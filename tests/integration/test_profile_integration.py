@@ -1,5 +1,6 @@
-"""End-to-end observability: run_imm(..., profile=True) produces a report
-whose spans and metrics agree with the run's own diagnostics."""
+"""End-to-end observability: run_imm with IMMOptions(profile=True)
+produces a report whose spans and metrics agree with the run's own
+diagnostics."""
 
 import json
 
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.imm import run_imm
+from repro.imm import IMMOptions, run_imm
 from repro.imm.bounds import BoundsConfig
+
+#: bounds light enough for a unit-sized run
+LIGHT = IMMOptions(bounds=BoundsConfig(theta_scale=0.1))
 
 
 @pytest.fixture(autouse=True)
@@ -22,13 +26,12 @@ def _clean_obs():
 def profiled_result(small_ic_graph):
     return run_imm(
         small_ic_graph, 5, 0.3, rng=0,
-        bounds=BoundsConfig(theta_scale=0.2), profile=True,
+        options=IMMOptions(bounds=BoundsConfig(theta_scale=0.2), profile=True),
     )
 
 
 def test_profile_off_by_default(small_ic_graph):
-    result = run_imm(small_ic_graph, 3, 0.4, rng=0,
-                     bounds=BoundsConfig(theta_scale=0.1))
+    result = run_imm(small_ic_graph, 3, 0.4, rng=0, options=LIGHT)
     assert result.profile is None
     assert not obs.enabled()
     assert obs.report().spans == []  # the run left nothing behind
@@ -87,14 +90,14 @@ def test_profile_uninstalls_after_run(small_ic_graph, profiled_result):
     assert not obs.enabled()
     # a second unprofiled run must not accumulate into the old report
     before = len(profiled_result.profile.spans)
-    run_imm(small_ic_graph, 3, 0.4, rng=1, bounds=BoundsConfig(theta_scale=0.1))
+    run_imm(small_ic_graph, 3, 0.4, rng=1, options=LIGHT)
     assert len(profiled_result.profile.spans) == before
 
 
 def test_profile_respects_caller_installed_collectors(small_ic_graph):
     handle = obs.install()
     result = run_imm(small_ic_graph, 3, 0.4, rng=0,
-                     bounds=BoundsConfig(theta_scale=0.1), profile=True)
+                     options=LIGHT.replace(profile=True))
     # the caller's collectors stay installed and hold the run's spans
     assert obs.enabled()
     assert obs.current_tracer() is handle.tracer
@@ -104,9 +107,10 @@ def test_profile_respects_caller_installed_collectors(small_ic_graph):
 
 
 def test_profiled_results_identical_to_unprofiled(small_ic_graph):
-    kwargs = dict(k=4, epsilon=0.3, rng=7, bounds=BoundsConfig(theta_scale=0.2))
-    plain = run_imm(small_ic_graph, **kwargs)
-    profiled = run_imm(small_ic_graph, profile=True, **kwargs)
+    opts = IMMOptions(bounds=BoundsConfig(theta_scale=0.2))
+    plain = run_imm(small_ic_graph, 4, 0.3, rng=7, options=opts)
+    profiled = run_imm(small_ic_graph, 4, 0.3, rng=7,
+                       options=opts.replace(profile=True))
     assert np.array_equal(plain.seeds, profiled.seeds)
     assert plain.theta == profiled.theta
     assert np.array_equal(plain.collection.flat, profiled.collection.flat)
@@ -120,13 +124,13 @@ def test_final_selection_reused_when_collection_unchanged(small_ic_graph, monkey
     calls = []
     real_select = imm_mod.select_seeds
 
-    def counting_select(collection, k, strategy="fast", **kwargs):
+    def counting_select(collection, k, **kwargs):
         calls.append(collection.num_sets)
-        return real_select(collection, k, strategy=strategy, **kwargs)
+        return real_select(collection, k, **kwargs)
 
     monkeypatch.setattr(imm_mod, "select_seeds", counting_select)
     result = run_imm(small_ic_graph, 2, 0.5, rng=0,
-                     bounds=BoundsConfig(theta_scale=0.05))
+                     options=IMMOptions(bounds=BoundsConfig(theta_scale=0.05)))
     # selection runs once per estimation phase, plus at most one final run —
     # and that extra run is only allowed if the collection actually grew
     assert len(calls) in (len(result.phases), len(result.phases) + 1)

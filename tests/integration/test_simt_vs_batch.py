@@ -15,7 +15,7 @@ import pytest
 from repro.graphs import DirectedGraph, assign_ic_weights, assign_lt_weights
 from repro.graphs.generators import powerlaw_configuration
 from repro.gpu.simt import simt_sample_ic, simt_sample_lt, simt_select_seeds
-from repro.imm import select_seeds
+from repro.imm.seed_selection import select_seeds_reference
 from repro.rrr import sample_rrr_ic, sample_rrr_lt
 
 
@@ -89,7 +89,7 @@ def test_simt_source_elimination(ic_graph):
 def test_simt_selection_matches_library(ic_graph):
     coll, _ = sample_rrr_ic(ic_graph, 400, rng=8)
     kernel_result, ops = simt_select_seeds(coll, 6)
-    library_result = select_seeds(coll, 6, strategy="reference")
+    library_result = select_seeds_reference(coll, 6)
     assert np.array_equal(kernel_result.seeds, library_result.seeds)
     assert kernel_result.covered_sets == library_result.covered_sets
     assert np.array_equal(kernel_result.marginal_gains,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.imm import select_seeds
+from repro.imm.seed_selection import select_seeds_reference
 from repro.rrr import RRRCollection
 
 N = 15
@@ -26,8 +27,8 @@ def _coll(sets):
 @settings(max_examples=60, deadline=None)
 def test_fast_equals_reference(sets, k):
     coll = _coll(sets)
-    fast = select_seeds(coll, k, "fast")
-    ref = select_seeds(coll, k, "reference")
+    fast = select_seeds(coll, k)
+    ref = select_seeds_reference(coll, k)
     assert np.array_equal(fast.seeds, ref.seeds)
     assert fast.covered_sets == ref.covered_sets
     assert np.array_equal(fast.marginal_gains, ref.marginal_gains)
@@ -77,8 +78,8 @@ def test_seeds_always_distinct(sets, k):
     """select_seeds never returns duplicate vertices, for any k up to n —
     even when coverage saturates and every remaining gain is zero."""
     coll = _coll(sets)
-    for strategy in ("fast", "reference"):
-        res = select_seeds(coll, k, strategy)
+    for select in (select_seeds, select_seeds_reference):
+        res = select(coll, k)
         assert res.seeds.size == k
         assert len(set(res.seeds.tolist())) == k
         assert all(0 <= v < N for v in res.seeds.tolist())

@@ -82,3 +82,16 @@ def test_service_error_hierarchy():
     err = ServiceOverloadedError(queue_depth=9, max_queue_depth=8)
     assert err.queue_depth == 9 and err.max_queue_depth == 8
     assert "retry" in str(err)
+
+
+def test_version_has_one_source():
+    """pyproject.toml reads the version from ``repro.__version__``."""
+    from pathlib import Path
+
+    import repro
+
+    pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+    text = pyproject.read_text()
+    assert 'dynamic = ["version"]' in text
+    assert 'version = {attr = "repro.__version__"}' in text
+    assert repro.__version__ == "2.0.0"

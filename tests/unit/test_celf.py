@@ -48,10 +48,11 @@ def test_validation(tiny_graph, line_graph):
 def test_agreement_with_imm(small_ic_graph):
     """CELF and IMM should find seed sets of comparable quality."""
     from repro.diffusion import estimate_spread
-    from repro.imm import BoundsConfig, run_imm
+    from repro.imm import BoundsConfig, IMMOptions, run_imm
 
     celf = run_celf_greedy(small_ic_graph, 3, num_samples=60, rng=4)
-    imm = run_imm(small_ic_graph, 3, 0.3, rng=4, bounds=BoundsConfig(theta_scale=0.2))
+    imm = run_imm(small_ic_graph, 3, 0.3, rng=4,
+                  options=IMMOptions(bounds=BoundsConfig(theta_scale=0.2)))
     sp_celf = estimate_spread(small_ic_graph, celf.seeds, "IC", 400, rng=5)
     sp_imm = estimate_spread(small_ic_graph, imm.seeds, "IC", 400, rng=5)
     assert sp_celf > 0.8 * sp_imm

@@ -133,38 +133,6 @@ def test_compare_command_warm_start(capsys):
     assert "speedup" in capsys.readouterr().out
 
 
-def test_selection_strategy_flag_parsed():
-    parser = build_parser()
-    seeds = parser.parse_args(
-        ["seeds", "--dataset", "WV", "--selection-strategy", "lazy"]
-    )
-    assert seeds.selection_strategy == "lazy"
-    compare = parser.parse_args(
-        ["compare", "--dataset", "WV", "--selection-strategy", "reference"]
-    )
-    assert compare.selection_strategy == "reference"
-    # default and rejection of unknown strategies
-    assert parser.parse_args(["seeds", "--dataset", "WV"]).selection_strategy == "fast"
-    with pytest.raises(SystemExit):
-        parser.parse_args(["seeds", "--dataset", "WV",
-                           "--selection-strategy", "quantum"])
-
-
-def test_seeds_command_lazy_strategy_matches_fast(capsys):
-    args = ["seeds", "--dataset", "WV", "--k", "3", "--epsilon", "0.4",
-            "--theta-scale", "0.05"]
-    assert main(args + ["--selection-strategy", "lazy"]) == 0
-    lazy_out = capsys.readouterr().out
-    assert main(args + ["--selection-strategy", "fast"]) == 0
-    fast_out = capsys.readouterr().out
-    assert "seeds:" in lazy_out
-    # strategies are bit-identical, so the printed seed line agrees
-    assert (
-        [l for l in lazy_out.splitlines() if l.startswith("seeds:")]
-        == [l for l in fast_out.splitlines() if l.startswith("seeds:")]
-    )
-
-
 def test_serve_parser_defaults():
     parser = build_parser()
     args = parser.parse_args(["serve", "--stdin"])

@@ -30,11 +30,12 @@ def test_cli_table1b_experiment(capsys):
 
 def test_multi_device_flags_oom_per_device():
     import repro.graphs as graphs
-    from repro.imm import BoundsConfig, run_imm
+    from repro.imm import BoundsConfig, IMMOptions, run_imm
 
     g = graphs.assign_ic_weights(graphs.powerlaw_configuration(500, 3000, rng=3))
-    imm = run_imm(g, 10, 0.2, rng=1, eliminate_sources=True,
-                  bounds=BoundsConfig(theta_scale=0.3))
+    imm = run_imm(g, 10, 0.2, rng=1,
+                  options=IMMOptions(eliminate_sources=True,
+                                     bounds=BoundsConfig(theta_scale=0.3)))
     tiny = RTX_A6000.scaled(10_000_000)  # a few KB per device
     res = run_multi_device_eim(imm, g, tiny, 4)
     assert res.oom  # even a shard of R cannot fit

@@ -1,7 +1,6 @@
 """Coverage-scan parity: the word-parallel bitset scan must pick the
 same seeds with the same :class:`SelectionStats` as the CSR postings
-walk, for both the fast and the lazy strategy, including prefix views
-of a shared warm index."""
+walk, including prefix views of a shared warm index."""
 
 from __future__ import annotations
 
@@ -10,8 +9,9 @@ import pytest
 
 from repro import obs
 from repro.imm.coverage import CoverageIndex
-from repro.imm.seed_selection import select_seeds
-from repro.kernels import ENV_BUDGET_MB, ENV_COVERAGE_SCAN
+from repro.imm.seed_selection import select_seeds, select_seeds_reference
+from repro.kernels import ENV_COVERAGE_SCAN
+from repro.memory.budget import ENV_MEMORY_BUDGET_MB
 from repro.rrr import sample_rrr_ic
 
 
@@ -34,14 +34,12 @@ def collection(small_ic_graph):
     return coll
 
 
-@pytest.mark.parametrize("strategy", ["fast", "lazy"])
-def test_scan_parity(collection, strategy):
-    ref = select_seeds(collection, 8, strategy, scan="csr")
+def test_scan_parity(collection):
+    ref = select_seeds(collection, 8, scan="csr")
     for scan in ("bitset", "auto"):
-        _assert_same_selection(ref, select_seeds(collection, 8, strategy, scan=scan))
+        _assert_same_selection(ref, select_seeds(collection, 8, scan=scan))
     # both agree with the Alg. 3 oracle
-    oracle = select_seeds(collection, 8, "reference")
-    np.testing.assert_array_equal(ref.seeds, oracle.seeds)
+    _assert_same_selection(ref, select_seeds_reference(collection, 8))
 
 
 def test_env_var_selects_scan(collection, monkeypatch):
@@ -56,7 +54,7 @@ def test_env_var_selects_scan(collection, monkeypatch):
 
 
 def test_auto_falls_back_under_tiny_budget(collection, monkeypatch):
-    monkeypatch.setenv(ENV_BUDGET_MB, "0.001")
+    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "0.001")
     ref = select_seeds(collection, 5, scan="csr")
     with obs.profiled() as handle:
         out = select_seeds(collection, 5, scan="auto")
@@ -66,20 +64,19 @@ def test_auto_falls_back_under_tiny_budget(collection, monkeypatch):
     assert counters.get("selection.scan.posting_reads", 0) > 0
 
 
-@pytest.mark.parametrize("strategy", ["fast", "lazy"])
-def test_prefix_view_through_shared_index(small_ic_graph, strategy):
+def test_prefix_view_through_shared_index(small_ic_graph):
     """A CoverageIndex (and its cached membership plane) that already
     covers the full stream serves any collection prefix — the tail bits
     beyond the prefix must be masked out."""
     full, _ = sample_rrr_ic(small_ic_graph, 600, rng=23)
     prefix = full.prefix(250)
     index = CoverageIndex.build(full)  # ahead of the prefix
-    ref = select_seeds(prefix, 6, strategy, index=index, scan="csr")
-    out = select_seeds(prefix, 6, strategy, index=index, scan="bitset")
+    ref = select_seeds(prefix, 6, index=index, scan="csr")
+    out = select_seeds(prefix, 6, index=index, scan="bitset")
     _assert_same_selection(ref, out)
     # and the same membership plane then serves the full collection
-    ref_full = select_seeds(full, 6, strategy, index=index, scan="csr")
-    out_full = select_seeds(full, 6, strategy, index=index, scan="bitset")
+    ref_full = select_seeds(full, 6, index=index, scan="csr")
+    out_full = select_seeds(full, 6, index=index, scan="bitset")
     _assert_same_selection(ref_full, out_full)
 
 

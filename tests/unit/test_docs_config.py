@@ -4,7 +4,9 @@ The reference page is generated-by-hand but *checked* by machine: this
 test enumerates every ``IMMOptions`` / ``ServiceOptions`` field, every
 ``REPRO_*`` environment variable the source tree reads, and every CLI
 flag ``repro.cli`` defines, and fails if any is missing from the docs —
-so adding a knob without documenting it breaks CI.
+so adding a knob without documenting it breaks CI.  It also checks the
+reverse direction: every variable and flag the page names must still
+exist in the source, so removing a knob without its row breaks CI too.
 """
 
 import dataclasses
@@ -27,11 +29,22 @@ def doc_text():
     return DOC.read_text()
 
 
+_ENV_VAR = r"REPRO_[A-Z_]+[A-Z]"
+_FLAG = r"--[a-z][a-z-]*"
+
+
 def _source_env_vars():
     names = set()
     for path in SRC.rglob("*.py"):
-        names.update(re.findall(r"REPRO_[A-Z_]+[A-Z]", path.read_text()))
+        names.update(re.findall(_ENV_VAR, path.read_text()))
     return names
+
+
+def _source_flags():
+    flags = set()
+    for path in SRC.rglob("*.py"):
+        flags.update(re.findall(f'"({_FLAG})"', path.read_text()))
+    return flags
 
 
 def _cli_flags():
@@ -67,3 +80,17 @@ def test_every_cli_flag_documented(doc_text):
     assert flags, "no CLI flags found in repro.cli — test is broken"
     missing = sorted(f for f in flags if f"`{f}`" not in doc_text)
     assert not missing, f"CLI flags missing from {DOC}: {missing}"
+
+
+def test_every_documented_env_var_exists(doc_text):
+    documented = set(re.findall(f"`({_ENV_VAR})`", doc_text))
+    assert documented, "no REPRO_* variables found in the docs — test is broken"
+    stale = sorted(documented - _source_env_vars())
+    assert not stale, f"{DOC} documents env vars src no longer reads: {stale}"
+
+
+def test_every_documented_flag_exists(doc_text):
+    documented = set(re.findall(f"`({_FLAG})`", doc_text))
+    assert documented, "no CLI flags found in the docs — test is broken"
+    stale = sorted(documented - _source_flags())
+    assert not stale, f"{DOC} documents CLI flags src no longer defines: {stale}"

@@ -1,8 +1,5 @@
 """The unified Engine.run contract: all four engines accept one
-IMMOptions with identical semantics, and the legacy per-knob keywords
-ride a deprecation shim mirroring run_imm's."""
-
-import warnings
+IMMOptions with identical semantics; the knobs live nowhere else."""
 
 import pytest
 
@@ -38,30 +35,16 @@ def test_engine_overrides_options_elimination(small_ic_graph, engine_cls):
     assert result.imm.eliminate_sources == engine_cls().eliminate_sources
 
 
-def test_legacy_keywords_warn_and_match_options(small_ic_graph):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = EIMEngine().run(
-            small_ic_graph, 5, 0.3, "IC", rng=3,
-            bounds=BoundsConfig(theta_scale=0.1),
-        )
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    assert messages and "repro 2.0" in messages[0]
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        modern = EIMEngine().run(small_ic_graph, 5, 0.3, rng=3, options=OPTS)
-    assert list(legacy.seeds) == list(modern.seeds)
-    assert legacy.total_cycles == modern.total_cycles
-
-
 def test_mixing_options_and_legacy_raises(small_ic_graph):
-    with pytest.raises(ValidationError, match="not both"):
+    # the per-knob keywords are gone: a stale positional model or a
+    # removed keyword fails loudly instead of binding to another slot
+    with pytest.raises(TypeError):
         EIMEngine().run(small_ic_graph, 5, 0.3, "IC", options=OPTS)
-    with pytest.raises(ValidationError, match="not both"):
+    with pytest.raises(TypeError):
         GIMEngine().run(small_ic_graph, 5, 0.3, options=OPTS,
-                        selection_strategy="lazy")
+                        selection_strategy="fast")
+    with pytest.raises(TypeError):
+        GIMEngine().run(small_ic_graph, 5, 0.3, model="IC")
 
 
 def test_options_must_be_imm_options(small_ic_graph):
@@ -69,25 +52,13 @@ def test_options_must_be_imm_options(small_ic_graph):
         EIMEngine().run(small_ic_graph, 5, 0.3, options={"model": "IC"})
 
 
-def test_run_imm_legacy_warning_names_removal_release(small_ic_graph):
-    from repro.imm.imm import run_imm
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_imm(small_ic_graph, 3, 0.4, "IC",
-                bounds=BoundsConfig(theta_scale=0.1))
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    assert messages and "repro 2.0" in messages[0]
-
-
-def test_resolve_options_forces_engine_elimination():
-    from repro.engines.base import _UNSET
-
-    engine = EIMEngine()  # eliminate_sources=True by default
-    opts = engine._resolve_options(
-        OPTS.replace(eliminate_sources=False),
-        _UNSET, _UNSET, _UNSET, _UNSET, _UNSET,
+def test_resolve_options_forces_engine_elimination(small_ic_graph):
+    # the options the run resolves keep every caller knob but the
+    # engine's own source elimination
+    result = EIMEngine().run(
+        small_ic_graph, 5, 0.3, rng=3,
+        options=OPTS.replace(eliminate_sources=False),
     )
-    assert opts.eliminate_sources is True
-    assert opts.model == OPTS.model and opts.bounds == OPTS.bounds
+    resolved = result.imm.options
+    assert resolved.eliminate_sources is True
+    assert resolved.model == OPTS.model and resolved.bounds == OPTS.bounds

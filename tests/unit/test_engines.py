@@ -3,9 +3,10 @@ import pytest
 
 from repro.engines import CuRipplesEngine, EIMEngine, ENGINES, GIMEngine
 from repro.gpu import RTX_A6000
-from repro.imm import BoundsConfig, run_imm
+from repro.imm import BoundsConfig, IMMOptions, run_imm
 
 BOUNDS = BoundsConfig(theta_scale=1.0)
+OPTS = IMMOptions(bounds=BOUNDS)
 SPEC = RTX_A6000.scaled(1000)
 # the paper's regime: selection weight grows with k (default there k=50)
 K, EPS = 40, 0.1
@@ -17,13 +18,15 @@ def results(request):
 
     g = graphs.assign_ic_weights(graphs.powerlaw_configuration(400, 2400, rng=31))
     out = {}
-    vanilla = run_imm(g, K, EPS, rng=5, bounds=BOUNDS)
+    vanilla = run_imm(g, K, EPS, rng=5, options=OPTS)
     out["graph"] = g
-    out["eim"] = EIMEngine().run(g, K, EPS, rng=5, bounds=BOUNDS, device_spec=SPEC)
-    out["gim"] = GIMEngine().run(g, K, EPS, bounds=BOUNDS, device_spec=SPEC,
-                                 imm_result=vanilla)
-    out["curipples"] = CuRipplesEngine().run(g, K, EPS, bounds=BOUNDS,
-                                             device_spec=SPEC, imm_result=vanilla)
+    out["eim"] = EIMEngine().run(g, K, EPS, rng=5, device_spec=SPEC,
+                                 options=OPTS)
+    out["gim"] = GIMEngine().run(g, K, EPS, device_spec=SPEC, imm_result=vanilla,
+                                 options=OPTS)
+    out["curipples"] = CuRipplesEngine().run(g, K, EPS, device_spec=SPEC,
+                                             imm_result=vanilla,
+                                             options=OPTS)
     return out
 
 
@@ -71,17 +74,14 @@ def test_speedup_over(results):
 def test_eim_ablation_toggles(results):
     g = results["graph"]
     full = results["eim"]
-    no_pack = EIMEngine(log_encoding=False).run(
-        g, K, EPS, rng=5, bounds=BOUNDS, device_spec=SPEC
-    )
+    no_pack = EIMEngine(log_encoding=False).run(g, K, EPS, rng=5, device_spec=SPEC,
+                                                options=OPTS)
     assert no_pack.rrr_store_bytes > full.rrr_store_bytes
-    no_elim = EIMEngine(eliminate_sources=False).run(
-        g, K, EPS, rng=5, bounds=BOUNDS, device_spec=SPEC
-    )
+    no_elim = EIMEngine(eliminate_sources=False).run(g, K, EPS, rng=5, device_spec=SPEC,
+                                                     options=OPTS)
     assert no_elim.theta >= full.theta
-    warp_scan = EIMEngine(thread_scan=False).run(
-        g, K, EPS, rng=5, bounds=BOUNDS, device_spec=SPEC
-    )
+    warp_scan = EIMEngine(thread_scan=False).run(g, K, EPS, rng=5, device_spec=SPEC,
+                                                 options=OPTS)
     assert warp_scan.breakdown["selection_scan"] != full.breakdown["selection_scan"]
 
 
@@ -90,7 +90,8 @@ def test_oom_result_shape():
 
     g = graphs.assign_ic_weights(graphs.powerlaw_configuration(400, 2400, rng=31))
     tiny_spec = RTX_A6000.scaled(5_000_000)  # ~10 KB device
-    r = GIMEngine().run(g, 5, 0.3, rng=1, bounds=BoundsConfig(theta_scale=0.1), device_spec=tiny_spec)
+    r = GIMEngine().run(g, 5, 0.3, rng=1, device_spec=tiny_spec,
+                        options=IMMOptions(bounds=BoundsConfig(theta_scale=0.1)))
     assert r.oom
     assert r.seeds is None
     assert np.isnan(r.total_cycles)
@@ -102,7 +103,9 @@ def test_lt_model_runs():
     import repro.graphs as graphs
 
     g = graphs.assign_lt_weights(graphs.powerlaw_configuration(400, 2400, rng=31))
-    r = EIMEngine().run(g, 8, 0.3, "LT", rng=2, bounds=BoundsConfig(theta_scale=0.1), device_spec=SPEC)
+    r = EIMEngine().run(g, 8, 0.3, rng=2, device_spec=SPEC,
+                        options=IMMOptions(model="LT",
+                                           bounds=BoundsConfig(theta_scale=0.1)))
     assert not r.oom and r.model == "LT"
 
 
@@ -112,7 +115,8 @@ def test_gim_spill_fragmentation_grows_memory():
 
     g = graphs.assign_ic_weights(graphs.powerlaw_configuration(400, 2400, rng=31))
     tight = GIMEngine(shared_queue_fraction=0.001)
-    r = tight.run(g, 10, 0.2, rng=5, bounds=BoundsConfig(theta_scale=0.1), device_spec=SPEC)
+    r = tight.run(g, 10, 0.2, rng=5, device_spec=SPEC,
+                  options=IMMOptions(bounds=BoundsConfig(theta_scale=0.1)))
     assert not r.oom
     assert r.breakdown["sampling"] > 0
 
@@ -125,10 +129,11 @@ def test_gim_can_win_at_small_theta():
 
     g = graphs.assign_ic_weights(graphs.powerlaw_configuration(400, 2400, rng=31))
     loose = BoundsConfig(theta_scale=0.02)
-    vanilla = run_imm(g, 5, 0.4, rng=5, bounds=loose)
-    eim = EIMEngine().run(g, 5, 0.4, rng=5, bounds=loose, device_spec=SPEC)
-    gim = GIMEngine().run(g, 5, 0.4, bounds=loose, device_spec=SPEC,
-                          imm_result=vanilla)
+    vanilla = run_imm(g, 5, 0.4, rng=5, options=IMMOptions(bounds=loose))
+    eim = EIMEngine().run(g, 5, 0.4, rng=5, device_spec=SPEC,
+                          options=IMMOptions(bounds=loose))
+    gim = GIMEngine().run(g, 5, 0.4, device_spec=SPEC, imm_result=vanilla,
+                          options=IMMOptions(bounds=loose))
     # no strict winner asserted at this size; the ratio must just be mild
     ratio = eim.total_cycles / gim.total_cycles
     assert 0.5 < ratio < 2.0

@@ -62,12 +62,3 @@ def test_from_env_overrides(monkeypatch):
     monkeypatch.setenv("REPRO_REPEATS", "5")
     cfg = ExperimentConfig.from_env(repeats=1)
     assert cfg.repeats == 1
-
-
-def test_selection_strategy_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SELECTION_STRATEGY", "lazy")
-    assert ExperimentConfig.from_env().selection_strategy == "lazy"
-    monkeypatch.delenv("REPRO_SELECTION_STRATEGY")
-    assert ExperimentConfig.from_env().selection_strategy == "fast"
-    with pytest.raises(ValidationError):
-        ExperimentConfig(selection_strategy="quantum")

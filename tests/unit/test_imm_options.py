@@ -1,4 +1,4 @@
-"""IMMOptions: validation, the legacy-keyword shim, and parallel runs."""
+"""IMMOptions: validation, the one run_imm call shape, and parallel runs."""
 
 import dataclasses
 
@@ -17,7 +17,6 @@ def test_defaults():
     assert opts.model == "IC"
     assert opts.eliminate_sources is False
     assert opts.bounds is None
-    assert opts.selection_strategy == "fast"
     assert opts.batch_size == 16384
     assert opts.n_jobs == 1
     assert opts.profile is False
@@ -30,8 +29,8 @@ def test_model_normalized_and_validated():
 
 
 def test_field_validation():
-    with pytest.raises(ValidationError):
-        IMMOptions(selection_strategy="greedy")
+    with pytest.raises(TypeError):
+        IMMOptions(selection_strategy="fast")  # removed knob
     with pytest.raises(ValidationError):
         IMMOptions(batch_size=0)
     with pytest.raises(ValidationError):
@@ -47,32 +46,20 @@ def test_frozen_and_replace():
     assert (opts.n_jobs, opts.model) == (1, "IC")
 
 
-def test_field_names_cover_legacy_kwargs():
-    names = IMMOptions.field_names()
-    for kwarg in ("model", "eliminate_sources", "bounds",
-                  "selection_strategy", "batch_size", "profile"):
-        assert kwarg in names
-
-
-def test_legacy_kwargs_warn_and_match_options(small_ic_graph):
-    with pytest.warns(DeprecationWarning, match="IMMOptions"):
-        legacy = run_imm(small_ic_graph, 5, 0.3, model="IC", rng=3,
-                         eliminate_sources=True, bounds=BOUNDS)
-    new = run_imm(small_ic_graph, 5, 0.3, rng=3,
-                  options=IMMOptions(eliminate_sources=True, bounds=BOUNDS))
-    assert np.array_equal(legacy.seeds, new.seeds)
-    assert legacy.theta == new.theta
-    assert np.array_equal(legacy.collection.flat, new.collection.flat)
-
-
 def test_no_warning_for_pure_options_call(small_ic_graph, recwarn):
     run_imm(small_ic_graph, 3, 0.4, rng=1, options=IMMOptions(bounds=BOUNDS))
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
 
 def test_options_and_legacy_kwargs_conflict(small_ic_graph):
-    with pytest.raises(ValidationError, match="not both"):
+    # the per-knob keywords are gone, and everything after epsilon is
+    # keyword-only: a stale positional model cannot bind to rng
+    with pytest.raises(TypeError):
         run_imm(small_ic_graph, 3, 0.4, model="IC", options=IMMOptions())
+    with pytest.raises(TypeError):
+        run_imm(small_ic_graph, 3, 0.4, "IC")
+    with pytest.raises(ValidationError, match="IMMOptions"):
+        run_imm(small_ic_graph, 3, 0.4, options={"model": "IC"})
 
 
 def test_result_carries_options(small_ic_graph):
@@ -93,8 +80,3 @@ def test_parallel_options_reproducible(small_ic_graph):
     assert np.array_equal(a.seeds, b.seeds)
     assert np.array_equal(a.collection.flat, b.collection.flat)
     assert np.array_equal(a.collection.offsets, b.collection.offsets)
-
-
-def test_all_selection_strategies_accepted():
-    for strategy in ("fast", "lazy", "reference"):
-        assert IMMOptions(selection_strategy=strategy).selection_strategy == strategy

@@ -8,7 +8,6 @@ import pytest
 from repro import obs
 from repro.kernels import (
     DEFAULT_PLANE_BUDGET_BYTES,
-    ENV_BUDGET_MB,
     ENV_COVERAGE_SCAN,
     ENV_VISITED_MODE,
     MembershipPlane,
@@ -29,6 +28,7 @@ from repro.kernels import (
     words_for_bits,
 )
 from repro.kernels import test_bits as bits_test  # alias: not a pytest case
+from repro.memory.budget import ENV_MEMORY_BUDGET_MB
 from repro.utils.errors import ValidationError
 
 
@@ -228,24 +228,24 @@ def test_resolve_rejects_unknown(monkeypatch):
 
 
 def test_plane_budget_env_override(monkeypatch):
-    monkeypatch.delenv(ENV_BUDGET_MB, raising=False)
+    monkeypatch.delenv(ENV_MEMORY_BUDGET_MB, raising=False)
     assert plane_budget_bytes() == DEFAULT_PLANE_BUDGET_BYTES
-    monkeypatch.setenv(ENV_BUDGET_MB, "0.5")
+    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "0.5")
     assert plane_budget_bytes() == 512 * 1024
-    monkeypatch.setenv(ENV_BUDGET_MB, "oops")
+    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "oops")
     with pytest.raises(ValidationError):
         plane_budget_bytes()
-    monkeypatch.setenv(ENV_BUDGET_MB, "-1")
+    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "-1")
     with pytest.raises(ValidationError):
         plane_budget_bytes()
 
 
 def test_choose_visited_impl_budget_fallback(monkeypatch):
-    monkeypatch.delenv(ENV_BUDGET_MB, raising=False)
+    monkeypatch.delenv(ENV_MEMORY_BUDGET_MB, raising=False)
     assert choose_visited_impl("auto", 128, 1000) == "bitset"
     assert choose_visited_impl("sorted", 128, 1000) == "sorted"
     # a plane over budget falls back to sorted and counts the fallback
-    monkeypatch.setenv(ENV_BUDGET_MB, "0.001")
+    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "0.001")
     with obs.profiled() as handle:
         assert choose_visited_impl("auto", 4096, 100_000) == "sorted"
     assert handle.report().counters.get("kernels.bitset.fallbacks", 0) == 1
@@ -254,8 +254,8 @@ def test_choose_visited_impl_budget_fallback(monkeypatch):
 
 
 def test_choose_scan_impl_budget_fallback(monkeypatch):
-    monkeypatch.delenv(ENV_BUDGET_MB, raising=False)
+    monkeypatch.delenv(ENV_MEMORY_BUDGET_MB, raising=False)
     assert choose_scan_impl("auto", 1000, 5000) == "bitset"
     assert choose_scan_impl("csr", 1000, 5000) == "csr"
-    monkeypatch.setenv(ENV_BUDGET_MB, "0.001")
+    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "0.001")
     assert choose_scan_impl("auto", 100_000, 1_000_000) == "csr"

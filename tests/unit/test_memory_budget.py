@@ -3,7 +3,6 @@
 import pytest
 
 from repro.memory.budget import (
-    ENV_KERNEL_BUDGET_MB,
     ENV_MEMORY_BUDGET_MB,
     MemoryBudget,
     budget_scope,
@@ -49,12 +48,10 @@ def test_unknown_tier_rejected(gov):
 def test_budget_precedence(gov, monkeypatch):
     # unbounded by default
     monkeypatch.delenv(ENV_MEMORY_BUDGET_MB, raising=False)
-    monkeypatch.delenv(ENV_KERNEL_BUDGET_MB, raising=False)
     assert gov.budget_bytes is None
-    # the legacy kernel env feeds the shared budget now
-    monkeypatch.setenv(ENV_KERNEL_BUDGET_MB, "2")
-    assert gov.budget_bytes == 2 * MB
-    # the new env wins over the legacy alias
+    # the retired kernel-only variable is not read
+    monkeypatch.setenv("REPRO_KERNEL_BUDGET_MB", "2")
+    assert gov.budget_bytes is None
     monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "8")
     assert gov.budget_bytes == 8 * MB
     # an explicit set wins over both; None pins explicitly-unbounded
@@ -144,7 +141,6 @@ def test_remove_pressure_handler(gov):
 
 def test_budget_scope_restores_prior_state(monkeypatch):
     monkeypatch.delenv(ENV_MEMORY_BUDGET_MB, raising=False)
-    monkeypatch.delenv(ENV_KERNEL_BUDGET_MB, raising=False)
     gov = governor()
     before = gov.budget_bytes
     with budget_scope(3 * MB) as scoped:

@@ -2,7 +2,7 @@ import pytest
 
 from repro.gpu import RTX_A6000
 from repro.gpu.multi import MultiDeviceResult, allreduce_cycles, run_multi_device_eim
-from repro.imm import BoundsConfig, run_imm
+from repro.imm import BoundsConfig, IMMOptions, run_imm
 from repro.utils.errors import ValidationError
 
 SPEC = RTX_A6000.scaled(1000)
@@ -17,8 +17,9 @@ def workload():
     g = graphs.assign_ic_weights(
         graphs.powerlaw_configuration(1200, 2900, 2.1, 2.1, rng=13)
     )
-    imm = run_imm(g, 50, 0.05, rng=1, eliminate_sources=True,
-                  bounds=BoundsConfig(theta_scale=0.25))
+    imm = run_imm(g, 50, 0.05, rng=1,
+                  options=IMMOptions(eliminate_sources=True,
+                                     bounds=BoundsConfig(theta_scale=0.25)))
     return g, imm
 
 

@@ -1,6 +1,9 @@
 """Unit tests for the observability subsystem (repro.obs)."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -63,6 +66,44 @@ def test_sibling_spans_share_depth():
     assert all(r.depth == 0 for r in tracer.records)
 
 
+def test_span_stack_is_per_thread():
+    """Concurrent threads nest spans under one tracer without mixing."""
+    tracer = Tracer()
+    nthreads, rounds = 8, 20
+    barrier = threading.Barrier(nthreads)
+
+    def work(t: int) -> None:
+        barrier.wait()
+        for _ in range(rounds):
+            with tracer.span(f"t{t}.outer"):
+                time.sleep(0)  # yield so the other threads interleave
+                with tracer.span(f"t{t}.mid"):
+                    time.sleep(0)
+                    with tracer.span(f"t{t}.inner"):
+                        time.sleep(0)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(nthreads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    assert len(tracer.records) == nthreads * rounds * 3
+    for record in tracer.records:
+        t, level = record.name.split(".")
+        chain = [f"{t}.{name}" for name in ("outer", "mid", "inner")]
+        depth = chain.index(record.name)
+        assert record.depth == depth, record
+        assert record.path == "/".join(chain[: depth + 1]), record
+    assert tracer._stack == []
+
+
 def test_null_tracer_records_nothing():
     tracer = NullTracer()
     with tracer.span("anything"):
@@ -99,6 +140,26 @@ def test_histogram_summary():
     assert h["count"] == 3 and h["sum"] == 6.0
     assert h["min"] == 1.0 and h["max"] == 3.0 and h["mean"] == 2.0
     assert reg.histogram_summary("missing")["count"] == 0
+
+
+def test_histogram_state_is_bounded():
+    """Observing keeps O(1) state per name, not every raw value."""
+    import random
+
+    rng = random.Random(7)
+    values = [rng.uniform(-1e6, 1e6) for _ in range(100_000)]
+    reg = MetricsRegistry()
+    for v in values:
+        reg.observe("x", v)
+    reg.observe("y", 1.0)
+    for state in reg._histograms.values():
+        assert len(state) <= 5
+        assert all(isinstance(field, (int, float)) for field in state)
+    h = reg.histogram_summary("x")
+    assert h["count"] == len(values)
+    assert h["min"] == min(values) and h["max"] == max(values)
+    assert h["sum"] == pytest.approx(sum(values), rel=1e-9, abs=1e-3)
+    assert h["mean"] == pytest.approx(sum(values) / len(values), rel=1e-9, abs=1e-6)
 
 
 def test_null_metrics_discards_everything():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.diffusion import estimate_spread
-from repro.imm import BoundsConfig, run_imm
+from repro.imm import BoundsConfig, IMMOptions, run_imm
 from repro.imm.oracle import InfluenceOracle
 from repro.rrr import RRRCollection, sample_rrr_ic
 from repro.utils.errors import ValidationError
@@ -43,8 +43,9 @@ def test_oracle_matches_monte_carlo(small_ic_graph):
 
 
 def test_from_imm_result_with_elimination(small_ic_graph):
-    result = run_imm(small_ic_graph, 8, 0.2, rng=4, eliminate_sources=True,
-                     bounds=BoundsConfig(theta_scale=0.3))
+    result = run_imm(small_ic_graph, 8, 0.2, rng=4,
+                     options=IMMOptions(eliminate_sources=True,
+                                        bounds=BoundsConfig(theta_scale=0.3)))
     oracle = InfluenceOracle.from_imm_result(result)
     assert oracle.spread(result.seeds) == pytest.approx(
         result.influence_estimate(), rel=1e-9

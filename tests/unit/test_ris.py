@@ -41,10 +41,11 @@ def test_lt_model_supported(small_lt_graph):
 
 def test_quality_close_to_imm(small_ic_graph):
     from repro.diffusion import estimate_spread
-    from repro.imm import BoundsConfig, run_imm
+    from repro.imm import BoundsConfig, IMMOptions, run_imm
 
     ris = run_ris(small_ic_graph, 6, num_sets=4000, rng=5)
-    imm = run_imm(small_ic_graph, 6, 0.25, rng=5, bounds=BoundsConfig(theta_scale=0.1))
+    imm = run_imm(small_ic_graph, 6, 0.25, rng=5,
+                  options=IMMOptions(bounds=BoundsConfig(theta_scale=0.1)))
     sp_ris = estimate_spread(small_ic_graph, ris.seeds, "IC", 500, rng=6)
     sp_imm = estimate_spread(small_ic_graph, imm.seeds, "IC", 500, rng=6)
     assert sp_ris > 0.85 * sp_imm

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from repro.imm import CoverageIndex, select_seeds
-from repro.imm.seed_selection import STRATEGIES
+from repro.imm.seed_selection import select_seeds_reference
 from repro.rrr import RRRCollection, sample_rrr_ic
 from repro.utils.errors import ValidationError
+
+
+#: the indexed greedy and its Alg. 3 oracle
+SELECTORS = (select_seeds, select_seeds_reference)
 
 
 def _coll(sets, n):
@@ -51,33 +55,21 @@ def test_counts_are_marginal_not_absolute():
 
 def test_tie_break_lowest_id():
     coll = _coll([[5], [7]], n=8)
-    for strategy in STRATEGIES:
-        res = select_seeds(coll, 1, strategy)
-        assert res.seeds[0] == 5
+    for select in SELECTORS:
+        assert select(coll, 1).seeds[0] == 5, select
 
 
 def test_lazy_tie_break_after_decrements():
-    # vertices 2 and 5 end round 2 tied; the heap must surface 2 first
-    # even though 5's stale entry ranked higher before the decrement
+    # vertices 2 and 5 end round 2 tied after 5 ranked higher before
+    # the decrement: the lower id still wins
     coll = _coll([[0, 5], [0, 5], [0, 2], [2], [5]], n=6)
-    for strategy in STRATEGIES:
-        res = select_seeds(coll, 2, strategy)
-        assert list(res.seeds) == [0, 2], strategy
+    for select in SELECTORS:
+        assert list(select(coll, 2).seeds) == [0, 2], select
 
 
 def test_all_strategies_identical_on_random_samples(small_ic_graph):
     coll, _ = sample_rrr_ic(small_ic_graph, 600, rng=3)
-    fast = select_seeds(coll, 8, "fast")
-    for other in ("lazy", "reference"):
-        _assert_identical(fast, select_seeds(coll, 8, other))
-
-
-def test_lazy_with_index_matches_fast(small_ic_graph):
-    coll, _ = sample_rrr_ic(small_ic_graph, 500, rng=7)
-    index = CoverageIndex.build(coll)
-    fast = select_seeds(coll, 10, "fast")
-    _assert_identical(fast, select_seeds(coll, 10, "fast", index=index))
-    _assert_identical(fast, select_seeds(coll, 10, "lazy", index=index))
+    _assert_identical(select_seeds(coll, 8), select_seeds_reference(coll, 8))
 
 
 def test_index_over_longer_stream_serves_prefix(small_ic_graph):
@@ -86,8 +78,8 @@ def test_index_over_longer_stream_serves_prefix(small_ic_graph):
     for num_sets in (1, 137, 499):
         prefix = coll.prefix(num_sets)
         plain = select_seeds(prefix, 5)
-        _assert_identical(plain, select_seeds(prefix, 5, "fast", index=index))
-        _assert_identical(plain, select_seeds(prefix, 5, "lazy", index=index))
+        _assert_identical(plain, select_seeds(prefix, 5, index=index))
+        _assert_identical(plain, select_seeds_reference(prefix, 5))
 
 
 def test_stale_index_rejected(small_ic_graph):
@@ -124,12 +116,11 @@ def test_empty_sets_never_covered():
 
 def test_validation():
     coll = _coll([[0]], n=2)
-    with pytest.raises(ValidationError):
-        select_seeds(coll, 0)
-    with pytest.raises(ValidationError):
-        select_seeds(coll, 3)
-    with pytest.raises(ValidationError):
-        select_seeds(coll, 1, strategy="quantum")
+    for select in SELECTORS:
+        with pytest.raises(ValidationError):
+            select(coll, 0)
+        with pytest.raises(ValidationError):
+            select(coll, 3)
 
 
 def test_k_larger_than_useful_vertices():
@@ -143,8 +134,8 @@ def test_no_duplicate_seeds_after_saturation():
     # regression: once every set is covered, argmax over all-zero counts
     # used to return vertex 0 forever, yielding duplicate seeds
     coll = _coll([[0], [0]], n=4)
-    for strategy in STRATEGIES:
-        res = select_seeds(coll, 4, strategy)
+    for select in SELECTORS:
+        res = select(coll, 4)
         assert sorted(res.seeds.tolist()) == [0, 1, 2, 3]
         assert len(set(res.seeds.tolist())) == res.seeds.size
 
@@ -171,27 +162,6 @@ def test_distinct_seeds_on_random_collection(small_ic_graph):
     coll, _ = sample_rrr_ic(small_ic_graph, 400, rng=9)
     res = select_seeds(coll, small_ic_graph.n)  # k == n, maximal stress
     assert len(set(res.seeds.tolist())) == small_ic_graph.n
-
-
-def test_lazy_distinct_seeds_k_equals_n(small_ic_graph):
-    coll, _ = sample_rrr_ic(small_ic_graph, 400, rng=9)
-    fast = select_seeds(coll, small_ic_graph.n, "fast")
-    lazy = select_seeds(coll, small_ic_graph.n, "lazy")
-    _assert_identical(fast, lazy)
-
-
-def test_lazy_publishes_pop_counters(small_ic_graph):
-    from repro import obs
-
-    coll, _ = sample_rrr_ic(small_ic_graph, 300, rng=10)
-    with obs.profiled() as handle:
-        select_seeds(coll, 6, "lazy")
-    counters = handle.report().counters
-    # one pop per selected seed at minimum; re-evals are heap repushes
-    assert counters.get("selection.lazy.pops", 0) >= 6
-    assert counters.get("selection.lazy.pops", 0) == (
-        6 + counters.get("selection.lazy.reevals", 0)
-    )
 
 
 def test_index_counters_distinguish_build_from_reuse(small_ic_graph):

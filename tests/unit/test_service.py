@@ -82,7 +82,9 @@ def test_query_keys_mirror_store_identity(small_ic_graph):
     r2 = InfluenceQuery(small_ic_graph, k=6, epsilon=0.3).result_key(
         small_ic_graph, 256
     )
-    assert r1[: len(q.coalesce_key(small_ic_graph, 256))] == r2[: len(r1) - 4]
+    key_len = len(q.coalesce_key(small_ic_graph, 256))
+    assert r1[:key_len] == r2[:key_len]
+    assert len(r1) == key_len + 3  # k, epsilon, bounds
     assert r1 != r2
 
 

@@ -40,11 +40,11 @@ def test_build_query_full_options(service):
     q = build_query(service, {
         "graph": "g", "k": 3, "epsilon": 0.4, "model": "lt",
         "eliminate_sources": True, "entropy": [1, 2],
-        "selection_strategy": "lazy", "theta_scale": 0.5,
+        "batch_size": 512, "theta_scale": 0.5,
     })
     assert q.options.model == "LT"
     assert q.options.eliminate_sources is True
-    assert q.options.selection_strategy == "lazy"
+    assert q.options.batch_size == 512
     assert q.options.bounds.theta_scale == 0.5
     assert q.entropy == (1, 2)
 

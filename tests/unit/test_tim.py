@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from repro.imm import BoundsConfig
+from repro.imm import BoundsConfig, IMMOptions
 from repro.imm.tim import estimate_kpt, lambda_tim, run_tim
 from repro.utils.errors import ValidationError
 
 BOUNDS = BoundsConfig(theta_scale=0.05)
+OPTS = IMMOptions(bounds=BOUNDS)
 
 
 def test_lambda_tim_monotonicity():
@@ -36,7 +37,7 @@ def test_tim_needs_more_sets_than_imm(small_ic_graph):
     from repro.imm import run_imm
 
     tim = run_tim(small_ic_graph, 10, 0.2, rng=3, bounds=BOUNDS)
-    imm = run_imm(small_ic_graph, 10, 0.2, rng=3, bounds=BOUNDS)
+    imm = run_imm(small_ic_graph, 10, 0.2, rng=3, options=OPTS)
     assert tim.theta > imm.theta
 
 
@@ -45,7 +46,7 @@ def test_tim_quality_matches_imm(small_ic_graph):
     from repro.imm import run_imm
 
     tim = run_tim(small_ic_graph, 6, 0.3, rng=4, bounds=BOUNDS)
-    imm = run_imm(small_ic_graph, 6, 0.3, rng=4, bounds=BOUNDS)
+    imm = run_imm(small_ic_graph, 6, 0.3, rng=4, options=OPTS)
     sp_tim = estimate_spread(small_ic_graph, tim.seeds, "IC", 400, rng=5)
     sp_imm = estimate_spread(small_ic_graph, imm.seeds, "IC", 400, rng=5)
     assert sp_tim > 0.85 * sp_imm

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.kernels import ENV_BUDGET_MB, ENV_VISITED_MODE
+from repro.kernels import ENV_VISITED_MODE
+from repro.memory.budget import ENV_MEMORY_BUDGET_MB
 from repro.rrr import sample_rrr_ic, sample_rrr_lt
 
 SAMPLERS = {"IC": sample_rrr_ic, "LT": sample_rrr_lt}
@@ -62,7 +63,7 @@ def test_auto_falls_back_under_tiny_budget(
     graph = small_ic_graph if model == "IC" else small_lt_graph
     sampler = SAMPLERS[model]
     ref = sampler(graph, 200, rng=9, visited_mode="sorted")
-    monkeypatch.setenv(ENV_BUDGET_MB, "0.001")  # ~1 KiB: no plane fits
+    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "0.001")  # ~1 KiB: no plane fits
     with obs.profiled() as handle:
         out = sampler(graph, 200, rng=9, visited_mode="auto")
     _assert_identical(ref, out)
@@ -76,7 +77,7 @@ def test_auto_falls_back_under_tiny_budget(
 def test_auto_plane_within_budget(model, small_ic_graph, small_lt_graph, monkeypatch):
     """When auto picks bitset, the accounted plane respects the budget."""
     graph = small_ic_graph if model == "IC" else small_lt_graph
-    monkeypatch.setenv(ENV_BUDGET_MB, "1")
+    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "1")
     with obs.profiled() as handle:
         SAMPLERS[model](graph, 300, rng=3, batch_size=64, visited_mode="auto")
     gauges = handle.report().gauges
