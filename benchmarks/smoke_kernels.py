@@ -4,9 +4,15 @@ CI-sized check of the bitset kernels (PR 9), covering both hot paths:
 
 * **sampling** — IC RRR sampling on a *deep-cascade* recipe (a ring
   lattice whose cascades run for hundreds of rounds) timed under
-  ``visited_mode='sorted'`` vs ``'bitset'``.  The sorted path re-merges
-  the whole visited key array every lockstep round, so deep cascades
-  are exactly the regime the dense visited plane accelerates.
+  ``visited_mode='sorted'``, ``'bitset'`` and ``'auto'``.  The sorted
+  path re-merges the whole visited key array every lockstep round, so
+  deep cascades are exactly the regime the dense visited plane
+  accelerates, and ``auto`` must move onto it.
+* **shallow sampling** — the eIM configuration's draws on CA at paper
+  scale (n = 334,863; IC, source elimination), sized so each batch's
+  plane fits the default budget, timed under ``'sorted'`` vs ``'auto'``.
+  Sets hold a few vertices, so a plane costs far more than it saves and
+  ``auto`` must stay on the sorted path.
 * **selection** — the fig3 sweep pattern (greedy selection over growing
   prefixes of one stream, across a small k-sweep) on the same dense
   deep-cascade collection, run with ``coverage_scan='csr'`` vs
@@ -15,8 +21,9 @@ CI-sized check of the bitset kernels (PR 9), covering both hot paths:
 
 Gates (exit code 1 on violation):
 
-* bitset sampling throughput >= **1.5x** sorted (sets/s) on the
-  deep-cascade recipe;
+* bitset and auto sampling throughput each >= **1.5x** sorted (sets/s)
+  on the deep-cascade recipe;
+* auto sampling time <= **1.25x** sorted on the CA paper-scale draws;
 * the bitset scan touches >= **2x** fewer elements (word popcounts vs
   scalar posting reads) over the fig3 sweep;
 * **zero parity failures**: collections, seeds and stats bit-identical
@@ -43,7 +50,7 @@ import numpy as np
 from repro import obs
 from repro.imm.coverage import CoverageIndex
 from repro.imm.seed_selection import select_seeds
-from repro.kernels import plane_budget_bytes
+from repro.kernels import DEFAULT_PLANE_BUDGET_BYTES, plane_budget_bytes
 from repro.memory.budget import ENV_MEMORY_BUDGET_MB
 from repro.rrr import get_sampler
 
@@ -53,6 +60,12 @@ RING_NEIGHBORS = 4
 RING_P = 0.6
 SAMPLE_SETS = 2000
 BATCH_SIZE = 2048
+
+# -- shallow sampling: eIM-configured CA draws at paper scale, each batch
+#    small enough that its (batch x n)-bit plane fits the default budget
+CA_DRAW_SETS = 1024
+CA_DRAWS = 24
+CA_REPEATS = 5
 
 # -- selection: the fig3 sweep pattern (smoke_selection conventions) over
 #    the deep-cascade stream sampled above --------------------------------
@@ -91,7 +104,7 @@ def run_sampling(graph) -> tuple[dict, "object"]:
     sampler(graph, 100, rng=1)  # warmup (allocator, caches)
     out = {}
     collections = {}
-    for mode in ("sorted", "bitset"):
+    for mode in ("sorted", "bitset", "auto"):
         start = time.perf_counter()
         coll, trace = sampler(graph, SAMPLE_SETS, rng=11,
                               visited_mode=mode, batch_size=BATCH_SIZE)
@@ -106,9 +119,55 @@ def run_sampling(graph) -> tuple[dict, "object"]:
     out["speedup"] = round(
         out["sorted"]["seconds"] / max(out["bitset"]["seconds"], 1e-9), 3
     )
-    out["parity"] = _identical_collections(collections["sorted"],
-                                           collections["bitset"])
+    out["auto_speedup"] = round(
+        out["sorted"]["seconds"] / max(out["auto"]["seconds"], 1e-9), 3
+    )
+    out["parity"] = all(
+        _identical_collections(collections["sorted"], collections[mode])
+        for mode in ("bitset", "auto")
+    )
     return out, collections["bitset"]
+
+
+def run_shallow_sampling() -> dict:
+    """CA paper-scale draws timed under ``sorted`` and ``auto``.
+
+    Each mode's time is the fastest of ``CA_REPEATS`` passes over the
+    same ``CA_DRAWS`` draws, with the modes interleaved per pass so
+    machine noise hits both alike."""
+    from repro.graphs import assign_ic_weights
+    from repro.graphs.datasets import load_dataset
+    from repro.kernels import words_for_bits
+
+    graph = assign_ic_weights(load_dataset("CA", "paper", rng=1))
+    plane_bytes = CA_DRAW_SETS * words_for_bits(graph.n) * 8
+    sampler = get_sampler("IC")
+    sampler(graph, CA_DRAW_SETS, rng=0, eliminate_sources=True)  # warmup
+    best = {"sorted": float("inf"), "auto": float("inf")}
+    outputs = {}
+    for _ in range(CA_REPEATS):
+        for mode in best:
+            start = time.perf_counter()
+            outputs[mode] = [
+                sampler(graph, CA_DRAW_SETS, rng=seed, eliminate_sources=True,
+                        visited_mode=mode)[0]
+                for seed in range(1, CA_DRAWS + 1)
+            ]
+            best[mode] = min(best[mode], time.perf_counter() - start)
+    return {
+        "n": graph.n,
+        "draws": CA_DRAWS,
+        "sets_per_draw": CA_DRAW_SETS,
+        "batch_plane_bytes": plane_bytes,
+        "plane_fits_default_budget": plane_bytes <= DEFAULT_PLANE_BUDGET_BYTES,
+        "sorted_seconds": round(best["sorted"], 4),
+        "auto_seconds": round(best["auto"], 4),
+        "auto_over_sorted": round(best["auto"] / max(best["sorted"], 1e-9), 3),
+        "parity": all(
+            _identical_collections(a, b)
+            for a, b in zip(outputs["sorted"], outputs["auto"])
+        ),
+    }
 
 
 def run_selection(collection) -> dict:
@@ -190,6 +249,7 @@ def main(argv=None) -> int:
 
     graph = _ring_graph()
     sampling, collection = run_sampling(graph)
+    shallow = run_shallow_sampling()
     selection = run_selection(collection)
     budget = run_budget_check(graph)
 
@@ -205,6 +265,7 @@ def main(argv=None) -> int:
             "phase_thetas": list(PHASE_THETAS), "k_sweep": list(K_SWEEP),
         },
         "sampling": sampling,
+        "shallow_sampling": shallow,
         "selection": selection,
         "budget": budget,
     }
@@ -221,6 +282,19 @@ def main(argv=None) -> int:
         failed = True
     if sampling["speedup"] < 1.5:
         print(f"FAIL: bitset sampling speedup {sampling['speedup']:.2f} < 1.5")
+        failed = True
+    if sampling["auto_speedup"] < 1.5:
+        print(f"FAIL: auto sampling speedup {sampling['auto_speedup']:.2f} < 1.5")
+        failed = True
+    if not shallow["parity"]:
+        print("FAIL: auto and sorted produced different CA collections")
+        failed = True
+    if not shallow["plane_fits_default_budget"]:
+        print("FAIL: the CA draws' batch plane does not fit the default budget")
+        failed = True
+    if shallow["auto_over_sorted"] > 1.25:
+        print(f"FAIL: auto CA sampling {shallow['auto_over_sorted']:.2f}x "
+              "sorted > 1.25x")
         failed = True
     if selection["touch_ratio"] < 2.0:
         print(f"FAIL: element-touch ratio {selection['touch_ratio']:.2f} < 2.0")

@@ -88,10 +88,12 @@ def _workload_parent(
                         choices=["auto", "sorted", "bitset"],
                         help="sampler visited bookkeeping: 'bitset' keeps a "
                              "dense word-packed visited plane, 'sorted' the "
-                             "classic sorted-key array; 'auto' picks bitset "
-                             "whenever the plane fits the kernel memory "
-                             "budget (default: REPRO_VISITED_MODE, else "
-                             "auto; output is bit-identical in every mode)")
+                             "classic sorted-key array; 'auto' starts each "
+                             "batch sorted and moves it to the plane once "
+                             "its merges cost what the plane would, if the "
+                             "plane fits the memory budget (default: "
+                             "REPRO_VISITED_MODE, else auto; output is "
+                             "bit-identical in every mode)")
     parent.add_argument("--coverage-scan", default=None,
                         choices=["auto", "csr", "bitset"],
                         help="seed-selection coverage scan: 'bitset' popcounts "

@@ -59,8 +59,10 @@ class IMMOptions:
     visited_mode:
         Sampler visited-bookkeeping implementation: ``"sorted"``
         (merged key array), ``"bitset"`` (dense word-parallel visited
-        plane), or ``"auto"`` (bitset whenever the plane fits the
-        kernel memory budget).  ``None`` defers to
+        plane), or ``"auto"`` (each batch starts sorted and moves to
+        the plane once its merges have cost what the plane would, if
+        it fits the memory budget; see
+        :class:`~repro.kernels.planes.VisitedSet`).  ``None`` defers to
         ``REPRO_VISITED_MODE``, then ``"auto"``.  Output is
         bit-identical across modes.
     coverage_scan:

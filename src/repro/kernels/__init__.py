@@ -2,9 +2,10 @@
 
 ``repro.kernels`` is the CPU analogue of the device's word-parallel
 inner loops: packed uint64 primitives (:mod:`repro.kernels.bitset`),
-the dense visited/membership planes built on them
-(:mod:`repro.kernels.planes`), and the mode/budget resolution that
-decides when the dense paths run (:mod:`repro.kernels.modes`).
+the dense visited/membership planes built on them and the sampler's
+visited set that promotes to its plane by measured work
+(:mod:`repro.kernels.planes`), and the mode/budget resolution
+(:mod:`repro.kernels.modes`).
 """
 
 from repro.kernels.bitset import (
@@ -27,12 +28,11 @@ from repro.kernels.modes import (
     ENV_VISITED_MODE,
     VISITED_MODES,
     choose_scan_impl,
-    choose_visited_impl,
     plane_budget_bytes,
     resolve_coverage_scan,
     resolve_visited_mode,
 )
-from repro.kernels.planes import MembershipPlane, VisitedPlane
+from repro.kernels.planes import MembershipPlane, VisitedPlane, VisitedSet
 
 __all__ = [
     "WORD_BITS",
@@ -52,10 +52,10 @@ __all__ = [
     "ENV_VISITED_MODE",
     "VISITED_MODES",
     "choose_scan_impl",
-    "choose_visited_impl",
     "plane_budget_bytes",
     "resolve_coverage_scan",
     "resolve_visited_mode",
     "MembershipPlane",
     "VisitedPlane",
+    "VisitedSet",
 ]

@@ -151,14 +151,12 @@ def decode_bits(words: np.ndarray, nbits: int | None = None) -> np.ndarray:
     ``nbits`` the result is clipped to valid positions — the tail of a
     partially used final word.
     """
-    nz = np.flatnonzero(words)
+    nz = np.flatnonzero(words != 0)  # a bool mask scans faster than uint64
     if nz.size == 0:
         return np.empty(0, dtype=np.int64)
-    flags = np.unpackbits(
-        words[nz].view(np.uint8).reshape(nz.size, 8), axis=1, bitorder="little"
-    )
-    word_of, bit_of = np.nonzero(flags)
-    positions = nz[word_of] * WORD_BITS + bit_of
+    flags = np.unpackbits(words[nz].view(np.uint8), bitorder="little")
+    hits = np.flatnonzero(flags)  # word-major, bit-ascending
+    positions = nz[hits >> 6] * WORD_BITS + (hits & (WORD_BITS - 1))
     if nbits is not None and positions.size and int(positions[-1]) >= nbits:
         positions = positions[: np.searchsorted(positions, nbits, side="left")]
     return positions

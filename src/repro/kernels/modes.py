@@ -3,10 +3,17 @@
 Both knobs are *operational* — every implementation produces
 bit-identical output — so, like the data plane, they are resolved at
 call time (explicit value > environment > ``auto``) and never become
-part of store or pool identities.  ``auto`` picks the dense bitset
-implementation only when its plane fits an explicit memory budget and
-falls back to the sparse path otherwise; fallbacks are counted
-(``kernels.bitset.fallbacks``), not raised.
+part of store or pool identities.
+
+* Visited bookkeeping: ``auto`` starts every sampler batch on the sorted
+  key array and promotes it to the dense plane by measured work — the
+  rule lives with the object that applies it,
+  :class:`~repro.kernels.planes.VisitedSet`.
+* Coverage scan: ``auto`` picks the dense bitset scan when its
+  membership plane fits the memory budget (:func:`choose_scan_impl`).
+
+A plane that does not fit falls back to the sparse path; fallbacks are
+counted (``kernels.bitset.fallbacks``), not raised.
 """
 
 from __future__ import annotations
@@ -90,24 +97,6 @@ def resolve_coverage_scan(value: Optional[str] = None) -> str:
             f"unknown coverage scan {value!r}; choose one of {COVERAGE_SCANS}"
         )
     return scan
-
-
-def choose_visited_impl(mode: str, batch: int, n: int) -> str:
-    """Pick ``'bitset'`` or ``'sorted'`` for one sampler batch.
-
-    The whole ``(batch x n)``-bit plane must fit the budget: shrinking
-    the plane by running the batch in sequential slices would reorder
-    RNG consumption and break bit-identical parity, so over budget the
-    batch runs on the sorted-key path instead (counted as a fallback).
-    """
-    mode = resolve_visited_mode(mode)
-    if mode != "auto":
-        return mode
-    plane_bytes = int(batch) * words_for_bits(n) * 8
-    if _plane_fits(plane_bytes):
-        return "bitset"
-    obs.counter_add("kernels.bitset.fallbacks", 1)
-    return "sorted"
 
 
 def choose_scan_impl(scan: str, n: int, num_sets: int) -> str:

@@ -1,6 +1,7 @@
 """Dense bit planes built on the word-parallel kernels.
 
-Two packed planes serve the two hot paths:
+Two packed planes serve the two hot paths, and one visited-set object
+decides when the sampler side uses its plane:
 
 * :class:`VisitedPlane` — the sampler-side ``(batch x n)``-bit visited
   plane, one row per in-flight RRR traversal.  Membership and dedup are
@@ -8,6 +9,9 @@ Two packed planes serve the two hot paths:
   key array's per-round ``unique`` + ``searchsorted`` + merge; at batch
   end the rows decode back to the exact sid-major / vertex-ascending
   key stream the sorted path maintains incrementally.
+* :class:`VisitedSet` — one sampler batch's visited keys: a sorted key
+  array that moves onto a :class:`VisitedPlane` once its merges have
+  cost what the plane would (the promotion rule is stated on the class).
 * :class:`MembershipPlane` — the selection-side ``(n x theta)``-bit
   vertex->set membership plane.  A vertex's marginal coverage is
   ``popcount(row AND NOT covered)`` over packed words — the host mirror
@@ -29,11 +33,11 @@ from repro.kernels.bitset import (
     WORD_BITS,
     _ONE,
     decode_bits,
-    popcount_rows,
     scatter_or,
     split_index,
     words_for_bits,
 )
+from repro.kernels.modes import _plane_fits, resolve_visited_mode
 from repro.memory.budget import governor
 from repro.utils.errors import ValidationError
 
@@ -118,15 +122,6 @@ class VisitedPlane:
         obs.counter_add("kernels.bitset.words_touched", idx.size)
         return ((self._flat[idx] >> shift) & _ONE).astype(bool)
 
-    def set_rowwise_unique(self, sid: np.ndarray, vertices: np.ndarray) -> None:
-        """Set bits when each row appears at most once (no shared words:
-        distinct rows never collide, so a fancy-index ``|=`` is exact)."""
-        if sid.size == 0:
-            return
-        idx, mask = self._word_index(sid, vertices)
-        self._flat[idx] |= mask
-        obs.counter_add("kernels.bitset.words_touched", idx.size)
-
     def set_sorted_keys(self, sid: np.ndarray, vertices: np.ndarray) -> None:
         """Set bits for key-ascending ``(sid, vertex)`` pairs (duplicate
         *words* allowed — nearby vertices of one row — handled by the
@@ -136,10 +131,6 @@ class VisitedPlane:
         idx, mask = self._word_index(sid, vertices)
         scatter_or(self._flat, idx, mask)
         obs.counter_add("kernels.bitset.words_touched", idx.size)
-
-    def sizes(self) -> np.ndarray:
-        """Per-row set-bit counts (the per-set visited sizes)."""
-        return popcount_rows(self._plane)
 
     def extract_keys(self) -> np.ndarray:
         """The visited stream as ascending ``sid * n + v`` keys.
@@ -168,6 +159,113 @@ class VisitedPlane:
         if len(pieces) == 1:
             return pieces[0]
         return np.concatenate(pieces)
+
+
+class VisitedSet:
+    """The visited keys ``sid * n + v`` of one batch of lockstep traversals.
+
+    Both samplers keep their per-batch bookkeeping here: :meth:`insert`
+    takes one round's candidate keys and returns the ones not yet
+    visited, :meth:`keys` returns the sid-major / vertex-ascending key
+    stream and :meth:`sizes` the per-traversal counts.  Two structures
+    hold the keys:
+
+    * a sorted ``int64`` array, extended by a linear gap-stream merge
+      (each round copies every visited key once more), and
+    * a :class:`VisitedPlane`, whose per-round cost is one word gather
+      and one OR-scatter per candidate but which costs
+      ``batch x words_per_row`` words to clear and decode.
+
+    **Promotion rule** (``mode="auto"``): the batch starts sorted and
+    sums the elements its merges copy.  Once that sum reaches
+    ``batch x words_per_row`` — what the plane would cost — the keys
+    move onto a plane (when :func:`_plane_fits` admits it; otherwise the
+    batch stays sorted and counts ``kernels.bitset.fallbacks``).  Shallow
+    cascades (a few dozen vertices per set on a large graph) never reach
+    it; deep ones cross it within a few rounds.  ``"sorted"`` never
+    promotes; ``"bitset"`` builds the plane up front regardless of the
+    budget.  Both structures hold the same key set, so the returned keys
+    — and every RNG draw the caller makes from them — never depend on
+    the mode.
+    """
+
+    __slots__ = ("batch", "n", "_keys", "_plane", "_copied", "_promote_at")
+
+    def __init__(self, sources: np.ndarray, n: int, mode: str | None = None):
+        mode = resolve_visited_mode(mode)
+        self.batch = int(sources.size)
+        self.n = int(n)
+        # sid-major keys of each traversal's source: ascending by
+        # construction, since sources lie in [0, n)
+        self._keys = np.arange(self.batch, dtype=np.int64) * self.n + sources
+        self._plane = None
+        self._copied = 0
+        # auto's threshold: the plane's size in words
+        self._promote_at = (
+            self.batch * words_for_bits(self.n) if mode == "auto" else None
+        )
+        if mode == "bitset":
+            self._to_plane()
+
+    @property
+    def on_plane(self) -> bool:
+        return self._plane is not None
+
+    def _to_plane(self) -> None:
+        self._plane = VisitedPlane(self.batch, self.n)
+        self._plane.set_sorted_keys(*np.divmod(self._keys, self.n))
+        self._keys = None
+        self._promote_at = None
+
+    def insert(self, keys: np.ndarray) -> np.ndarray:
+        """Add ascending, unique ``keys``; return those not yet visited."""
+        if self._plane is not None:
+            sid, v = np.divmod(keys, self.n)
+            fresh = ~self._plane.test(sid, v)
+            # ascending keys -> non-decreasing word indices for the scatter
+            self._plane.set_sorted_keys(sid[fresh], v[fresh])
+            return keys[fresh]
+        visited = self._keys
+        pos = np.searchsorted(visited, keys)
+        probe = np.minimum(pos, visited.size - 1)
+        is_new = visited[probe] != keys
+        new_keys = keys[is_new]
+        if new_keys.size == 0:
+            return new_keys
+        # visited and new_keys are sorted and disjoint: scatter each new
+        # key at its insertion offset and stream the old array into the
+        # gaps — O(|visited| + |new|) instead of concatenate-and-sort
+        target = pos[is_new] + np.arange(new_keys.size, dtype=np.int64)
+        merged = np.empty(visited.size + new_keys.size, dtype=np.int64)
+        merged[target] = new_keys
+        keep = np.ones(merged.size, dtype=bool)
+        keep[target] = False
+        merged[keep] = visited
+        self._keys = merged
+        if self._promote_at is not None:
+            self._copied += merged.size
+            if self._copied >= self._promote_at:
+                if _plane_fits(self._promote_at * 8):  # words -> bytes
+                    self._to_plane()
+                else:
+                    self._promote_at = None  # sorted for the rest of the batch
+                    obs.counter_add("kernels.bitset.fallbacks", 1)
+        return new_keys
+
+    def keys(self) -> np.ndarray:
+        """Every visited key, ascending (sid-major, vertex-ascending).
+
+        Ends the batch's use of a plane: the keys are decoded once and
+        the plane is released."""
+        if self._plane is not None:
+            self._keys = self._plane.extract_keys()
+            self._plane = None
+        return self._keys
+
+    def sizes(self) -> np.ndarray:
+        """Visited-vertex count per traversal (counted from the keys: a
+        plane's popcount would cost a byte lookup per plane byte)."""
+        return np.bincount(self.keys() // self.n, minlength=self.batch)
 
 
 class MembershipPlane:

@@ -68,7 +68,7 @@ from repro.resilience.faults import fire as fire_fault
 from repro.resilience.options import DEFAULT_RESILIENCE, ResilienceOptions
 from repro.resilience.report import ResilienceReport
 from repro.rrr.collection import RRRCollection
-from repro.rrr.trace import SampleTrace, empty_trace
+from repro.rrr.trace import SampleTrace, empty_trace, publish_counters
 from repro.shm.segments import resolve_data_plane
 from repro.shm.transport import PackedResult
 from repro.utils.errors import (
@@ -393,7 +393,32 @@ class SamplerPool:
             collection, trace = self._merge(results, arena)
             trace.resilience = report
         report.publish()
+        self._publish_worker_counters(trace, results, jobs, report)
         return collection, trace
+
+    @staticmethod
+    def _publish_worker_counters(
+        trace: SampleTrace, results: list, jobs: list, report: ResilienceReport
+    ) -> None:
+        """Publish ``rrr.*`` for the sets sampled in worker processes.
+
+        A worker's own counters stay in the worker; the merged trace
+        carries the same totals.  Jobs that degraded to in-process
+        sampling published theirs already, so they are left out.
+        """
+        if not obs.enabled():
+            return
+        local = {e["job"] for e in report.events if e["kind"] == "degraded"}
+        if local:
+            trace = empty_trace()
+            for i, r in enumerate(results):
+                if i not in local:
+                    trace = trace.merged_with(
+                        r.decode_trace() if isinstance(r, PackedResult) else r[3]
+                    )
+        publish_counters(
+            trace, sum(job[1] for i, job in enumerate(jobs) if i not in local)
+        )
 
     def _merge(
         self, results: list, arena: "Optional[ChunkArena]"

@@ -8,22 +8,18 @@ The implementation runs a *batch* of independent traversals in lockstep —
 one NumPy round expands the frontiers of every unfinished set at once —
 which is the host-side mirror of the paper's one-warp-per-block kernel.
 
-Visited bookkeeping has two interchangeable implementations, selected by
-``visited_mode``:
+Visited bookkeeping is one :class:`~repro.kernels.VisitedSet` per batch:
+per-set keys ``sid * n + v``, held in a sorted array (sid-major /
+vertex-ascending, so the flat store comes out in the paper's
+sorted-per-set layout for free) or in a dense ``(batch x n)``-bit plane
+(the host mirror of the device's visited bitmask ``M``).  ``visited_mode``
+picks ``sorted``, ``bitset`` or ``auto``, which moves a batch onto the
+plane once its sorted merges have cost what the plane would (the
+promotion rule is documented on :class:`~repro.kernels.VisitedSet`).
 
-* ``sorted`` — per-set keys ``sid * n + v`` in a single sorted array,
-  deduped per round with ``searchsorted`` plus a linear gap-stream merge;
-  because that array is sid-major / vertex-ascending, the final flat
-  store comes out in exactly the paper's sorted-per-set layout for free.
-* ``bitset`` — a dense ``(batch x n)``-bit :class:`VisitedPlane` (the
-  host mirror of the device's visited bitmask ``M``): membership and
-  insertion are one word gather / OR-scatter per candidate, and the
-  plane decodes to the identical sorted key stream at batch end.
-
-Both paths draw from the generator in exactly the same order — every
-draw happens on the *pre-dedup* frontier expansion — so collections and
-traces are bit-identical; ``auto`` picks the bitset plane whenever it
-fits the kernel memory budget.
+Every draw happens on the *pre-dedup* frontier expansion, so the
+generator is consumed in the same order under every mode and
+collections and traces are bit-identical.
 """
 
 from __future__ import annotations
@@ -32,9 +28,9 @@ import numpy as np
 
 from repro import obs
 from repro.graphs.csc import DirectedGraph
-from repro.kernels import VisitedPlane, choose_visited_impl
+from repro.kernels import VisitedSet
 from repro.rrr.collection import RRRBuilder, RRRCollection
-from repro.rrr.trace import SampleTrace
+from repro.rrr.trace import SampleTrace, empty_trace, publish_counters
 from repro.utils.errors import ValidationError
 from repro.utils.rng import as_generator
 from repro.utils.segments import segmented_arange
@@ -48,30 +44,22 @@ def _reverse_bfs_batch(
     graph: DirectedGraph,
     sources: np.ndarray,
     gen: np.random.Generator,
-    visited_impl: str = "sorted",
+    visited_mode: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep reverse BFS for one batch of sources.
 
     Returns ``(visited_keys_sorted, sizes, rounds, edges_examined)`` where
     keys are ``sid * n + v`` and all per-set arrays have batch length.
 
-    ``visited_impl`` switches only the dedup/membership bookkeeping; the
+    ``visited_mode`` switches only the dedup/membership bookkeeping; the
     frontier contents (and therefore every RNG draw) are identical under
-    both, which is what keeps the modes bit-identical.
+    every mode, which is what keeps the modes bit-identical.
     """
     n = graph.n
     batch = sources.size
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    sid = np.arange(batch, dtype=np.int64)
-    use_plane = visited_impl == "bitset"
-    if use_plane:
-        plane = VisitedPlane(batch, n)
-        plane.set_rowwise_unique(sid, sources)
-        visited = None
-    else:
-        plane = None
-        visited = np.sort(sid * n + sources)
-    frontier_sid, frontier_v = sid, sources
+    visited = VisitedSet(sources, n, visited_mode)
+    frontier_sid, frontier_v = np.arange(batch, dtype=np.int64), sources
     rounds = np.zeros(batch, dtype=np.int64)
     edges = np.zeros(batch, dtype=np.int64)
 
@@ -91,41 +79,12 @@ def _reverse_bfs_batch(
         c_keys = e_sid[hit] * n + e_v[hit]
         if c_keys.size == 0:
             break
-        c_keys = np.unique(c_keys)  # dedup within the round
-        if use_plane:
-            c_sid, c_v = np.divmod(c_keys, n)
-            new_keys = c_keys[~plane.test(c_sid, c_v)]
-            if new_keys.size == 0:
-                break
-            frontier_sid, frontier_v = np.divmod(new_keys, n)
-            # ascending keys -> non-decreasing word indices for the scatter
-            plane.set_sorted_keys(frontier_sid, frontier_v)
-        else:
-            pos = np.searchsorted(visited, c_keys)
-            probe = np.minimum(pos, visited.size - 1)
-            is_new = visited[probe] != c_keys
-            new_keys = c_keys[is_new]
-            if new_keys.size == 0:
-                break
-            # visited and new_keys are sorted and disjoint: scatter each new
-            # key at its insertion offset and stream the old array into the
-            # gaps — an O(|visited| + |new|) merge replacing the former
-            # O(total log total) concatenate-and-sort
-            target = pos[is_new] + np.arange(new_keys.size, dtype=np.int64)
-            merged = np.empty(visited.size + new_keys.size, dtype=np.int64)
-            merged[target] = new_keys
-            keep = np.ones(merged.size, dtype=bool)
-            keep[target] = False
-            merged[keep] = visited
-            visited = merged
-            frontier_sid, frontier_v = np.divmod(new_keys, n)
+        new_keys = visited.insert(np.unique(c_keys))  # dedup within the round
+        if new_keys.size == 0:
+            break
+        frontier_sid, frontier_v = np.divmod(new_keys, n)
 
-    if use_plane:
-        visited = plane.extract_keys()
-        sizes = plane.sizes()
-    else:
-        sizes = np.bincount(visited // n, minlength=batch)
-    return visited, sizes, rounds, edges
+    return visited.keys(), visited.sizes(), rounds, edges
 
 
 def _strip_sources(
@@ -193,18 +152,14 @@ def sample_rrr_ic(
                 f"(attempted {attempts} for {num_sets}); the graph has too "
                 "few edges for the requested sampling"
             )
-        impl = choose_visited_impl(visited_mode, batch, graph.n)
         sources = gen.integers(0, graph.n, size=batch, dtype=np.int64)
         with obs.span("rrr.batch.ic"):
             visited, sizes, rounds, edges = _reverse_bfs_batch(
-                graph, sources, gen, visited_impl=impl
+                graph, sources, gen, visited_mode
             )
         attempts += batch
         raw_singletons += int(np.sum(sizes == 1))
-        if obs.enabled():  # guard the argument-side sums, not just the sink
-            obs.counter_add("rrr.sets_attempted", batch)
-            obs.counter_add("rrr.edges_examined", int(edges.sum()))
-            obs.observe("rrr.batch_size", batch)
+        obs.observe("rrr.batch_size", batch)
         if eliminate_sources:
             visited, sizes = _strip_sources(visited, sources, graph.n)
             kept_mask = sizes > 0
@@ -213,10 +168,6 @@ def sample_rrr_ic(
         # drop discarded sets from the store but keep them in the trace
         flat = _flatten_kept(visited, kept_mask, graph.n)
         builder.append_batch(flat, sizes[kept_mask], sources[kept_mask])
-        if obs.enabled():
-            kept = int(kept_mask.sum())
-            obs.counter_add("rrr.sets_kept", kept)
-            obs.counter_add("rrr.sets_discarded", batch - kept)
         trace_chunks.append(
             SampleTrace(
                 sizes=sizes,
@@ -230,11 +181,9 @@ def sample_rrr_ic(
 
     builder.truncate_to(num_sets)
     collection = builder.finalize()
-    obs.counter_add("rrr.sets_sampled", collection.num_sets)
-    from repro.rrr.trace import empty_trace
-
     trace = empty_trace()
     for chunk in trace_chunks:
         trace = trace.merged_with(chunk)
     trace.raw_singletons = raw_singletons
+    publish_counters(trace, collection.num_sets)
     return collection, trace

@@ -15,11 +15,11 @@ first crossing edge of ``u``'s own segment.  That array depends only on
 the graph, so it is memoized per content fingerprint (store top-ups and
 k/eps sweeps build it once).
 
-Visited bookkeeping mirrors the IC sampler's ``visited_mode``: the
-``sorted`` path keeps the key array merged incrementally (the same
-gap-stream merge, since per-round new keys are already sorted and
-unique), the ``bitset`` path keeps a dense :class:`VisitedPlane`; both
-draw thresholds in the same order and are bit-identical.
+Visited bookkeeping is the IC sampler's: one
+:class:`~repro.kernels.VisitedSet` per batch (per-round keys are already
+sorted and unique, since walk ids strictly increase), with the same
+``visited_mode`` choices and promotion rule.  Every mode draws
+thresholds in the same order, so all are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import numpy as np
 
 from repro import obs
 from repro.graphs.csc import DirectedGraph
-from repro.kernels import VisitedPlane, choose_visited_impl
+from repro.kernels import VisitedSet
 from repro.rrr.collection import RRRBuilder, RRRCollection
 from repro.rrr.sampler_ic import MAX_ATTEMPT_FACTOR, _flatten_kept, _strip_sources
-from repro.rrr.trace import SampleTrace, empty_trace
+from repro.rrr.trace import SampleTrace, empty_trace, publish_counters
 from repro.utils.errors import ValidationError
 from repro.utils.rng import as_generator
 
@@ -99,13 +99,13 @@ def _walk_batch(
     sources: np.ndarray,
     gen: np.random.Generator,
     selection_index: np.ndarray,
-    visited_impl: str = "sorted",
+    visited_mode: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep LT reverse walks for one batch of sources.
 
     Returns ``(visited_keys_sorted, sizes, rounds, edges_examined)``.
-    Threshold draws depend only on the set of live walks, which both
-    ``visited_impl`` choices filter identically.
+    Threshold draws depend only on the set of live walks, which every
+    ``visited_mode`` filters identically.
     """
     n = graph.n
     batch = sources.size
@@ -114,16 +114,8 @@ def _walk_batch(
     deg = graph.in_degrees()
     totals = graph.total_in_weight()
 
-    sid = np.arange(batch, dtype=np.int64)
-    use_plane = visited_impl == "bitset"
-    if use_plane:
-        plane = VisitedPlane(batch, n)
-        plane.set_rowwise_unique(sid, sources)
-        visited = None
-    else:
-        plane = None
-        visited = np.sort(sid * n + sources)
-    walk_sid, walk_v = sid, sources.copy()
+    visited = VisitedSet(sources, n, visited_mode)
+    walk_sid, walk_v = np.arange(batch, dtype=np.int64), sources.copy()
     rounds = np.zeros(batch, dtype=np.int64)
     edges = np.zeros(batch, dtype=np.int64)
     max_steps = n + 1  # a walk revisits within n distinct vertices
@@ -143,37 +135,10 @@ def _walk_batch(
         pos = np.searchsorted(selection_index, query, side="left")
         pos = np.minimum(pos, indptr[walk_v + 1] - 1)  # numeric guard at tau ~ W
         chosen = indices[pos].astype(np.int64)
-        if use_plane:
-            # walk_sid is strictly increasing and each row appears once,
-            # so the membership gather and direct OR-scatter are exact
-            fresh = ~plane.test(walk_sid, chosen)
-            plane.set_rowwise_unique(walk_sid[fresh], chosen[fresh])
-        else:
-            keys = walk_sid * n + chosen
-            ins = np.searchsorted(visited, keys)
-            ins_clipped = np.minimum(ins, visited.size - 1)
-            fresh = visited[ins_clipped] != keys
-            new_keys = keys[fresh]
-            if new_keys.size:
-                # new_keys is sorted/unique (walk sids strictly increase)
-                # and disjoint from visited: same gap-stream merge as the
-                # IC sampler instead of the old concatenate-and-sort
-                target = ins[fresh] + np.arange(new_keys.size, dtype=np.int64)
-                merged = np.empty(visited.size + new_keys.size, dtype=np.int64)
-                merged[target] = new_keys
-                keep = np.ones(merged.size, dtype=bool)
-                keep[target] = False
-                merged[keep] = visited
-                visited = merged
         # walks whose chosen vertex was already visited terminate here
-        walk_sid, walk_v = walk_sid[fresh], chosen[fresh]
+        walk_sid, walk_v = np.divmod(visited.insert(walk_sid * n + chosen), n)
 
-    if use_plane:
-        visited = plane.extract_keys()
-        sizes = plane.sizes()
-    else:
-        sizes = np.bincount(visited // n, minlength=batch)
-    return visited, sizes, rounds, edges
+    return visited.keys(), visited.sizes(), rounds, edges
 
 
 def sample_rrr_lt(
@@ -204,18 +169,14 @@ def sample_rrr_lt(
                 "source elimination discarded nearly every set "
                 f"(attempted {attempts} for {num_sets})"
             )
-        impl = choose_visited_impl(visited_mode, batch, graph.n)
         sources = gen.integers(0, graph.n, size=batch, dtype=np.int64)
         with obs.span("rrr.batch.lt"):
             visited, sizes, rounds, edges = _walk_batch(
-                graph, sources, gen, selection_index, visited_impl=impl
+                graph, sources, gen, selection_index, visited_mode
             )
         attempts += batch
         raw_singletons += int(np.sum(sizes == 1))
-        if obs.enabled():  # guard the argument-side sums, not just the sink
-            obs.counter_add("rrr.sets_attempted", batch)
-            obs.counter_add("rrr.edges_examined", int(edges.sum()))
-            obs.observe("rrr.batch_size", batch)
+        obs.observe("rrr.batch_size", batch)
         if eliminate_sources:
             visited, sizes = _strip_sources(visited, sources, graph.n)
             kept_mask = sizes > 0
@@ -223,10 +184,6 @@ def sample_rrr_lt(
             kept_mask = np.ones(batch, dtype=bool)
         flat = _flatten_kept(visited, kept_mask, graph.n)
         builder.append_batch(flat, sizes[kept_mask], sources[kept_mask])
-        if obs.enabled():
-            kept = int(kept_mask.sum())
-            obs.counter_add("rrr.sets_kept", kept)
-            obs.counter_add("rrr.sets_discarded", batch - kept)
         trace_chunks.append(
             SampleTrace(
                 sizes=sizes,
@@ -240,9 +197,9 @@ def sample_rrr_lt(
 
     builder.truncate_to(num_sets)
     collection = builder.finalize()
-    obs.counter_add("rrr.sets_sampled", collection.num_sets)
     trace = empty_trace()
     for chunk in trace_chunks:
         trace = trace.merged_with(chunk)
     trace.raw_singletons = raw_singletons
+    publish_counters(trace, collection.num_sets)
     return collection, trace

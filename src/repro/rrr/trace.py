@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro import obs
+
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.resilience.report import ResilienceReport
 
@@ -87,3 +89,14 @@ def empty_trace() -> SampleTrace:
         raw_singletons=0,
         sources=z.copy(),
     )
+
+
+def publish_counters(trace: SampleTrace, sets_sampled: int) -> None:
+    """Publish one sampling run's ``rrr.*`` counters from its trace."""
+    if not obs.enabled():
+        return
+    obs.counter_add("rrr.sets_attempted", trace.attempted)
+    obs.counter_add("rrr.sets_kept", trace.kept)
+    obs.counter_add("rrr.sets_discarded", trace.discarded_empty)
+    obs.counter_add("rrr.edges_examined", trace.total_edges_examined())
+    obs.counter_add("rrr.sets_sampled", int(sets_sampled))

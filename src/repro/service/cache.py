@@ -40,6 +40,7 @@ from repro.memory.budget import governor
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.imm.imm import IMMResult
+    from repro.service.query import ResultKey
     from repro.rrr.store import RRRStore
 
 #: governor account for tier-1 cached results (their owned arrays only;
@@ -152,25 +153,24 @@ class ExactResultCache:
             governor().account(RESULTS_ACCOUNT, "resident", delta)
 
     def find_relaxed(
-        self, key: tuple, slack: float
+        self, key: "ResultKey", slack: float
     ) -> "Optional[tuple[float, IMMResult]]":
         """Best epsilon-relaxed stand-in for ``key`` (degraded serving).
 
-        Scans for entries that differ from ``key`` only in epsilon
-        (result-key index ``-2``) and whose epsilon is at most
-        ``slack * key_epsilon``; returns ``(cached_epsilon, result)``
-        for the tightest such entry, preferring any ``epsilon' <=
-        epsilon`` (a strictly better answer) over looser ones.  Does
-        not touch LRU order — degraded reads shouldn't pin entries the
-        healthy path isn't using.
+        Scans for entries that differ from ``key`` only in ``epsilon``
+        and whose epsilon is at most ``slack * key.epsilon``; returns
+        ``(cached_epsilon, result)`` for the tightest such entry,
+        preferring any ``epsilon' <= epsilon`` (a strictly better
+        answer) over looser ones.  Does not touch LRU order — degraded
+        reads shouldn't pin entries the healthy path isn't using.
         """
-        epsilon = float(key[-2])
+        epsilon = float(key.epsilon)
         best: "Optional[tuple[float, IMMResult]]" = None
         with self._lock:
             for entry_key, result in self._entries.items():
-                if entry_key[:-2] != key[:-2] or entry_key[-1] != key[-1]:
+                if entry_key._replace(epsilon=key.epsilon) != key:
                     continue
-                cached_eps = float(entry_key[-2])
+                cached_eps = float(entry_key.epsilon)
                 if cached_eps > slack * epsilon:
                     continue
                 if best is None or cached_eps < best[0]:

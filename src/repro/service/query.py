@@ -25,7 +25,7 @@ identity — caching and coalescing are invisible in the results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from repro.graphs.csc import DirectedGraph
 from repro.imm.options import IMMOptions
@@ -36,6 +36,23 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 
 #: how a query's answer was produced, from cheapest to most expensive
 CACHE_TIERS = ("exact", "prefix", "cold")
+
+
+class ResultKey(NamedTuple):
+    """The tier-1 exact-cache address: the coalescing key's fields, then
+    the answer shape.  Equal to (and hashed as) the plain tuple of its
+    fields."""
+
+    fingerprint: str
+    model: str
+    eliminate_sources: bool
+    entropy: object
+    n_jobs: int
+    chunk_sets: int
+    batch_size: int
+    k: int
+    epsilon: float
+    bounds: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,12 +130,13 @@ class InfluenceQuery:
             self.options.batch_size,
         )
 
-    def result_key(self, graph: DirectedGraph, chunk_sets: int) -> tuple:
+    def result_key(self, graph: DirectedGraph, chunk_sets: int) -> ResultKey:
         """The tier-1 exact-cache address: coalescing key + answer shape."""
-        return self.coalesce_key(graph, chunk_sets) + (
-            int(self.k),
-            float(self.epsilon),
-            self.options.bounds,
+        return ResultKey(
+            *self.coalesce_key(graph, chunk_sets),
+            k=int(self.k),
+            epsilon=float(self.epsilon),
+            bounds=self.options.bounds,
         )
 
 

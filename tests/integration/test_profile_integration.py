@@ -79,6 +79,29 @@ def test_profile_metrics_match_run_diagnostics(profiled_result):
     )
 
 
+@pytest.mark.parametrize("eliminate", [False, True])
+def test_profile_sampler_counters_at_two_jobs(small_ic_graph, eliminate):
+    """Sets sampled in worker processes still reach the parent's profile:
+    at ``n_jobs=2`` the ``rrr.*`` counters equal the merged trace's
+    totals (streams differ across ``n_jobs``, so compare within a run)."""
+    from repro.rrr.parallel import shutdown_pools
+
+    try:
+        result = run_imm(
+            small_ic_graph, 5, 0.3, rng=0,
+            options=IMMOptions(bounds=BoundsConfig(theta_scale=0.2), n_jobs=2,
+                               eliminate_sources=eliminate, profile=True),
+        )
+    finally:
+        shutdown_pools()
+    counters = result.profile.counters
+    assert counters["rrr.parallel.jobs"] >= 2  # the workers really ran
+    assert counters["rrr.sets_attempted"] == result.trace.attempted
+    assert counters["rrr.sets_kept"] == result.trace.kept
+    assert counters.get("rrr.sets_discarded", 0) == result.trace.discarded_empty
+    assert counters["rrr.edges_examined"] == result.trace.total_edges_examined()
+
+
 def test_profile_report_is_json_serializable(profiled_result):
     doc = obs.to_json(profiled_result.profile)
     roundtripped = json.loads(json.dumps(doc))

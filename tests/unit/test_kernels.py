@@ -12,9 +12,9 @@ from repro.kernels import (
     ENV_VISITED_MODE,
     MembershipPlane,
     VisitedPlane,
+    VisitedSet,
     andnot_words,
     choose_scan_impl,
-    choose_visited_impl,
     decode_bits,
     pack_bits,
     plane_budget_bytes,
@@ -128,23 +128,12 @@ def test_visited_plane_roundtrip_odd_width():
     sid = np.array([0, 0, 2, 2, 2, 4], dtype=np.int64)
     v = np.array([0, 66, 1, 63, 64, 10], dtype=np.int64)
     plane.set_sorted_keys(sid, v)
-    np.testing.assert_array_equal(plane.sizes(), [2, 0, 3, 0, 1])
     np.testing.assert_array_equal(plane.extract_keys(), sid * n + v)
     probe_sid = np.array([0, 0, 1, 2], dtype=np.int64)
     probe_v = np.array([66, 65, 0, 64], dtype=np.int64)
     np.testing.assert_array_equal(
         plane.test(probe_sid, probe_v), [True, False, False, True]
     )
-
-
-def test_visited_plane_rowwise_unique_matches_sorted_keys():
-    plane_a = VisitedPlane(4, 100)
-    plane_b = VisitedPlane(4, 100)
-    sid = np.array([0, 1, 2, 3], dtype=np.int64)  # each row once
-    v = np.array([99, 0, 64, 63], dtype=np.int64)
-    plane_a.set_rowwise_unique(sid, v)
-    plane_b.set_sorted_keys(sid, v)
-    np.testing.assert_array_equal(plane_a.extract_keys(), plane_b.extract_keys())
 
 
 def test_visited_plane_extract_tiles(monkeypatch):
@@ -240,17 +229,51 @@ def test_plane_budget_env_override(monkeypatch):
         plane_budget_bytes()
 
 
-def test_choose_visited_impl_budget_fallback(monkeypatch):
-    monkeypatch.delenv(ENV_MEMORY_BUDGET_MB, raising=False)
-    assert choose_visited_impl("auto", 128, 1000) == "bitset"
-    assert choose_visited_impl("sorted", 128, 1000) == "sorted"
-    # a plane over budget falls back to sorted and counts the fallback
-    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "0.001")
+def _merge_heavy_inserts(batch, n, rounds, seed=0):
+    """Per-round ascending unique candidate keys for ``batch`` rows."""
+    rng = np.random.default_rng(seed)
+    return [
+        np.unique(rng.integers(0, batch * n, size=3 * batch)) for _ in range(rounds)
+    ]
+
+
+def test_visited_set_matches_across_modes_and_promotes_by_merge_cost():
+    batch, n = 6, 130  # 3 words per row: auto promotes once merges copy 18
+    sources = np.array([0, 129, 5, 64, 64, 7], dtype=np.int64)
+    sets = {mode: VisitedSet(sources, n, mode) for mode in ("sorted", "auto", "bitset")}
+    assert sets["bitset"].on_plane and not sets["auto"].on_plane
+    copied = 0
+    for keys in _merge_heavy_inserts(batch, n, rounds=4):
+        before = sets["sorted"].keys().size
+        new = {mode: vs.insert(keys) for mode, vs in sets.items()}
+        np.testing.assert_array_equal(new["auto"], new["sorted"])
+        np.testing.assert_array_equal(new["bitset"], new["sorted"])
+        copied += before + new["sorted"].size
+        assert sets["auto"].on_plane == (copied >= batch * 3)
+    assert sets["auto"].on_plane and not sets["sorted"].on_plane
+    for mode in ("auto", "bitset"):
+        np.testing.assert_array_equal(sets[mode].keys(), sets["sorted"].keys())
+        np.testing.assert_array_equal(sets[mode].sizes(), sets["sorted"].sizes())
+
+
+def test_visited_set_budget_fallback(monkeypatch):
+    batch, n = 64, 100_000
+    sources = np.arange(batch, dtype=np.int64)
+    inserts = _merge_heavy_inserts(batch, n, rounds=60)  # copies pass 64 * 1563
+    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "0.001")  # ~1 KiB: no plane fits
     with obs.profiled() as handle:
-        assert choose_visited_impl("auto", 4096, 100_000) == "sorted"
-    assert handle.report().counters.get("kernels.bitset.fallbacks", 0) == 1
+        auto = VisitedSet(sources, n, "auto")
+        ref = VisitedSet(sources, n, "sorted")
+        for keys in inserts:
+            np.testing.assert_array_equal(auto.insert(keys), ref.insert(keys))
+    # the plane did not fit: the batch stayed sorted and counted it once
+    assert not auto.on_plane
+    np.testing.assert_array_equal(auto.keys(), ref.keys())
+    report = handle.report()
+    assert report.counters.get("kernels.bitset.fallbacks", 0) == 1
+    assert "kernels.bitset.plane_bytes" not in report.gauges
     # explicit bitset is honored even over budget (the caller asked)
-    assert choose_visited_impl("bitset", 4096, 100_000) == "bitset"
+    assert VisitedSet(sources, n, "bitset").on_plane
 
 
 def test_choose_scan_impl_budget_fallback(monkeypatch):

@@ -218,6 +218,23 @@ def test_retry_budget_exhaustion_degrades_to_serial(small_ic_graph, monkeypatch)
     assert report.failures == 4  # 2 jobs x (first attempt + 1 retry)
 
 
+def test_degraded_job_counted_once(small_ic_graph, monkeypatch):
+    """A job that degrades to in-process sampling publishes its own
+    ``rrr.*`` counters; the parent adds only the workers' share."""
+    monkeypatch.setenv(ENV_VAR, "memerr@0#*")  # job 0 fails every attempt
+    with obs.profiled() as handle:
+        coll, trace = sample_rrr_parallel(
+            small_ic_graph, 400, rng=7, n_jobs=2, eliminate_sources=True,
+            resilience=ResilienceOptions(max_retries=0, **FAST),
+        )
+    assert trace.resilience.degraded_jobs == 1
+    counters = handle.report().counters
+    assert counters["rrr.sets_attempted"] == trace.attempted
+    assert counters["rrr.sets_kept"] == trace.kept
+    assert counters["rrr.edges_examined"] == trace.total_edges_examined()
+    assert counters["rrr.sets_sampled"] == coll.num_sets
+
+
 def test_fallback_disabled_raises_worker_crash(small_ic_graph, monkeypatch):
     monkeypatch.setenv(ENV_VAR, "memerr@*#*")
     with pytest.raises(WorkerCrashError):

@@ -86,6 +86,23 @@ def test_query_keys_mirror_store_identity(small_ic_graph):
     assert r1[:key_len] == r2[:key_len]
     assert len(r1) == key_len + 3  # k, epsilon, bounds
     assert r1 != r2
+    # the answer fields are named, and the key still equals and hashes
+    # as the plain tuple of its fields
+    assert (r1.k, r1.epsilon, r1.bounds) == (5, 0.3, q.options.bounds)
+    assert r1 == tuple(r1) and hash(r1) == hash(tuple(r1))
+
+
+def test_exact_cache_find_relaxed_matches_on_named_fields(small_ic_graph):
+    cache = ExactResultCache(capacity=8)
+    key = InfluenceQuery(small_ic_graph, k=5, epsilon=0.4).result_key(
+        small_ic_graph, 256
+    )
+    cache.put(key._replace(epsilon=0.3), "tight")
+    cache.put(key._replace(epsilon=0.2), "tighter")
+    cache.put(key._replace(epsilon=0.5), "looser")
+    cache.put(key._replace(k=6, epsilon=0.1), "other k")
+    assert cache.find_relaxed(key, slack=2.0) == (0.2, "tighter")
+    assert cache.find_relaxed(key._replace(k=7), slack=2.0) is None
 
 
 # -- tier 1: exact result cache ----------------------------------------------
