@@ -1,6 +1,6 @@
 """Word-parallel kernels smoke benchmark — writes ``BENCH_pr9_kernels.json``.
 
-CI-sized check of the bitset kernels (PR 9), covering both hot paths:
+CI-sized check of the sampler's visited-set kernels:
 
 * **sampling** — IC RRR sampling on a *deep-cascade* recipe (a ring
   lattice whose cascades run for hundreds of rounds) timed under
@@ -13,21 +13,14 @@ CI-sized check of the bitset kernels (PR 9), covering both hot paths:
   plane fits the default budget, timed under ``'sorted'`` vs ``'auto'``.
   Sets hold a few vertices, so a plane costs far more than it saves and
   ``auto`` must stay on the sorted path.
-* **selection** — the fig3 sweep pattern (greedy selection over growing
-  prefixes of one stream, across a small k-sweep) on the same dense
-  deep-cascade collection, run with ``coverage_scan='csr'`` vs
-  ``'bitset'``, comparing the element-touch counters the two scans
-  publish (scalar posting reads vs popcounted words).
 
 Gates (exit code 1 on violation):
 
 * bitset and auto sampling throughput each >= **1.5x** sorted (sets/s)
   on the deep-cascade recipe;
 * auto sampling time <= **1.25x** sorted on the CA paper-scale draws;
-* the bitset scan touches >= **2x** fewer elements (word popcounts vs
-  scalar posting reads) over the fig3 sweep;
-* **zero parity failures**: collections, seeds and stats bit-identical
-  across modes in every cell;
+* **zero parity failures**: collections bit-identical across modes in
+  every cell;
 * ``auto`` never exceeds the kernel memory budget: the accounted
   visited plane stays under ``REPRO_MEMORY_BUDGET_MB`` and a
   tiny-budget run falls back without building a plane.
@@ -48,8 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.imm.coverage import CoverageIndex
-from repro.imm.seed_selection import select_seeds
 from repro.kernels import DEFAULT_PLANE_BUDGET_BYTES, plane_budget_bytes
 from repro.memory.budget import ENV_MEMORY_BUDGET_MB
 from repro.rrr import get_sampler
@@ -66,11 +57,6 @@ BATCH_SIZE = 2048
 CA_DRAW_SETS = 1024
 CA_DRAWS = 24
 CA_REPEATS = 5
-
-# -- selection: the fig3 sweep pattern (smoke_selection conventions) over
-#    the deep-cascade stream sampled above --------------------------------
-PHASE_THETAS = (SAMPLE_SETS // 4, SAMPLE_SETS // 2, SAMPLE_SETS)
-K_SWEEP = (4, 8, 16)
 
 
 def _ring_graph():
@@ -95,11 +81,8 @@ def _identical_collections(a, b) -> bool:
     )
 
 
-def run_sampling(graph) -> tuple[dict, "object"]:
-    """Deep-cascade sampling timed per visited mode, plus parity.
-
-    Returns the report dict and the sampled collection (reused as the
-    selection workload)."""
+def run_sampling(graph) -> dict:
+    """Deep-cascade sampling timed per visited mode, plus parity."""
     sampler = get_sampler("IC")
     sampler(graph, 100, rng=1)  # warmup (allocator, caches)
     out = {}
@@ -126,7 +109,7 @@ def run_sampling(graph) -> tuple[dict, "object"]:
         _identical_collections(collections["sorted"], collections[mode])
         for mode in ("bitset", "auto")
     )
-    return out, collections["bitset"]
+    return out
 
 
 def run_shallow_sampling() -> dict:
@@ -168,38 +151,6 @@ def run_shallow_sampling() -> dict:
             for a, b in zip(outputs["sorted"], outputs["auto"])
         ),
     }
-
-
-def run_selection(collection) -> dict:
-    """The fig3 sweep per scan mode: wall-clock, element touches, parity."""
-    out = {}
-    all_seeds = {}
-    for scan in ("csr", "bitset"):
-        index = CoverageIndex(collection.n)
-        seeds = []
-        start = time.perf_counter()
-        with obs.profiled() as handle:
-            for k in K_SWEEP:
-                for theta in PHASE_THETAS:
-                    prefix = collection.prefix(theta)
-                    index.extend_to(prefix)
-                    sel = select_seeds(prefix, k, index=index, scan=scan)
-                    seeds.append(sel.seeds.tolist())
-        seconds = time.perf_counter() - start
-        counters = handle.report().counters
-        all_seeds[scan] = seeds
-        out[scan] = {
-            "seconds": round(seconds, 4),
-            "element_touches": int(
-                counters.get("selection.scan.posting_reads", 0)
-                + counters.get("selection.scan.words_touched", 0)
-            ),
-        }
-    out["touch_ratio"] = round(
-        out["csr"]["element_touches"] / max(out["bitset"]["element_touches"], 1), 3
-    )
-    out["parity"] = all_seeds["csr"] == all_seeds["bitset"]
-    return out
 
 
 def run_budget_check(graph) -> dict:
@@ -248,9 +199,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     graph = _ring_graph()
-    sampling, collection = run_sampling(graph)
+    sampling = run_sampling(graph)
     shallow = run_shallow_sampling()
-    selection = run_selection(collection)
     budget = run_budget_check(graph)
 
     report = {
@@ -260,13 +210,8 @@ def main(argv=None) -> int:
             "neighbors": RING_NEIGHBORS, "p": RING_P,
             "num_sets": SAMPLE_SETS, "batch_size": BATCH_SIZE,
         },
-        "selection_recipe": {
-            "num_sets": SAMPLE_SETS,
-            "phase_thetas": list(PHASE_THETAS), "k_sweep": list(K_SWEEP),
-        },
         "sampling": sampling,
         "shallow_sampling": shallow,
-        "selection": selection,
         "budget": budget,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -276,9 +221,6 @@ def main(argv=None) -> int:
     failed = False
     if not sampling["parity"]:
         print("FAIL: visited modes produced different collections")
-        failed = True
-    if not selection["parity"]:
-        print("FAIL: coverage scans selected different seeds")
         failed = True
     if sampling["speedup"] < 1.5:
         print(f"FAIL: bitset sampling speedup {sampling['speedup']:.2f} < 1.5")
@@ -295,9 +237,6 @@ def main(argv=None) -> int:
     if shallow["auto_over_sorted"] > 1.25:
         print(f"FAIL: auto CA sampling {shallow['auto_over_sorted']:.2f}x "
               "sorted > 1.25x")
-        failed = True
-    if selection["touch_ratio"] < 2.0:
-        print(f"FAIL: element-touch ratio {selection['touch_ratio']:.2f} < 2.0")
         failed = True
     if not budget["plane_within_budget"]:
         print("FAIL: auto built a visited plane over the memory budget")

@@ -32,7 +32,7 @@ The surface, by layer:
 Operational control (memory budgets, data planes, kernel modes,
 resilience) rides on the option bundles rather than on extra entry
 points: ``IMMOptions(memory_budget_mb=, data_plane=, visited_mode=,
-coverage_scan=, resilience=)`` and ``ServiceOptions(memory_budget_mb=,
+resilience=)`` and ``ServiceOptions(memory_budget_mb=,
 shed_on_memory_pressure=, ...)`` — every knob, env var, and CLI flag is
 tabulated in ``docs/configuration.md``.  All operational knobs share
 one contract: results are bit-identical across their settings.

@@ -94,14 +94,6 @@ def _workload_parent(
                              "plane fits the memory budget (default: "
                              "REPRO_VISITED_MODE, else auto; output is "
                              "bit-identical in every mode)")
-    parent.add_argument("--coverage-scan", default=None,
-                        choices=["auto", "csr", "bitset"],
-                        help="seed-selection coverage scan: 'bitset' popcounts "
-                             "word-packed membership rows, 'csr' walks the "
-                             "inverted-index postings; 'auto' picks by the "
-                             "kernel memory budget (default: "
-                             "REPRO_COVERAGE_SCAN, else auto; seeds and "
-                             "stats are identical either way)")
     parent.add_argument("--data-plane", default=None, choices=["pickle", "shm"],
                         help="parent<->worker transport: 'shm' publishes the "
                              "graph once into shared memory and ships results "
@@ -260,7 +252,6 @@ def _cmd_seeds(args) -> int:
             resilience=resilience,
             data_plane=args.data_plane,
             visited_mode=args.visited_mode,
-            coverage_scan=args.coverage_scan,
             memory_budget_mb=args.memory_budget_mb,
         ),
         store=store,
@@ -307,7 +298,6 @@ def _cmd_compare(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         data_plane=args.data_plane,
         visited_mode=args.visited_mode,
-        coverage_scan=args.coverage_scan,
     )
     handle = obs.install() if args.profile else None
     row = compare_engines(args.dataset, args.k, args.epsilon, args.model, cfg)

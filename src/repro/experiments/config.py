@@ -19,7 +19,6 @@ whole suite stays CI-sized.  Environment overrides:
 ``REPRO_FAULTS``           fault-injection plan (repro.resilience.faults)
 ``REPRO_DATA_PLANE``       ``shm`` (default where available) / ``pickle``
 ``REPRO_VISITED_MODE``     ``auto`` (default) / ``sorted`` / ``bitset``
-``REPRO_COVERAGE_SCAN``    ``auto`` (default) / ``csr`` / ``bitset``
 ========================  ============================================
 """
 
@@ -97,10 +96,6 @@ class ExperimentConfig:
     #: defers to REPRO_VISITED_MODE, then "auto".  Bit-identical output
     #: in every mode
     visited_mode: Optional[str] = None
-    #: seed-selection coverage scan ("auto" / "csr" / "bitset"); None
-    #: defers to REPRO_COVERAGE_SCAN, then "auto".  Identical seeds and
-    #: stats either way
-    coverage_scan: Optional[str] = None
 
     @classmethod
     def from_env(cls, **overrides) -> "ExperimentConfig":
@@ -134,8 +129,6 @@ class ExperimentConfig:
             kwargs["data_plane"] = os.environ["REPRO_DATA_PLANE"]
         if "REPRO_VISITED_MODE" in os.environ:
             kwargs["visited_mode"] = os.environ["REPRO_VISITED_MODE"]
-        if "REPRO_COVERAGE_SCAN" in os.environ:
-            kwargs["coverage_scan"] = os.environ["REPRO_COVERAGE_SCAN"]
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -155,15 +148,11 @@ class ExperimentConfig:
                 f"unknown data plane {self.data_plane!r}; "
                 "choose 'pickle' or 'shm' (or None for the default)"
             )
-        from repro.kernels import resolve_coverage_scan, resolve_visited_mode
+        from repro.kernels import resolve_visited_mode
 
         if self.visited_mode is not None:
             object.__setattr__(
                 self, "visited_mode", resolve_visited_mode(self.visited_mode)
-            )
-        if self.coverage_scan is not None:
-            object.__setattr__(
-                self, "coverage_scan", resolve_coverage_scan(self.coverage_scan)
             )
         self.resilience()  # validates job_timeout / max_retries eagerly
 

@@ -200,7 +200,6 @@ def compare_engines(
                                    n_jobs=config.n_jobs,
                                    resilience=resilience,
                                    visited_mode=config.visited_mode,
-                                   coverage_scan=config.coverage_scan,
                                ))
             )
         except MemoryError as exc:
@@ -212,8 +211,7 @@ def compare_engines(
                                    bounds=bounds, n_jobs=config.n_jobs,
                                    resilience=resilience,
                                    data_plane=config.data_plane,
-                                   visited_mode=config.visited_mode,
-                                   coverage_scan=config.coverage_scan),
+                                   visited_mode=config.visited_mode),
                 pool=pool, store=vanilla_store,
             )
         except MemoryError as exc:

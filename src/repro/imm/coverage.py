@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.kernels import MembershipPlane
 from repro.utils.errors import ValidationError
 from repro.utils.segments import segmented_arange
 
@@ -59,7 +58,6 @@ class CoverageIndex:
         "_starts",
         "_postings",
         "_bounds",
-        "_membership",
     )
 
     def __init__(self, n: int, max_blocks: int = _DEFAULT_MAX_BLOCKS):
@@ -73,10 +71,6 @@ class CoverageIndex:
         self._starts: list[np.ndarray] = []  # per block: (n+1,) CSR row starts
         self._postings: list[np.ndarray] = []  # per block: global positions
         self._bounds: list[tuple[int, int]] = []  # per block: [lo, hi) element range
-        # lazily built packed vertex->set membership plane for the
-        # word-parallel coverage scan; extended append-only alongside
-        # the stream, so one plane serves every prefix of a sweep
-        self._membership: MembershipPlane | None = None
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -180,41 +174,6 @@ class CoverageIndex:
                 out += np.bincount(kept, minlength=self.n)
         return out
 
-    def membership(self, collection) -> MembershipPlane:
-        """The packed vertex->set membership plane over ``collection``.
-
-        Built lazily on the first word-parallel scan and extended
-        append-only as the stream grows (same prefix-consistency
-        contract as :meth:`extend_to`); a plane grown over a longer
-        stream serves shorter prefix views via the scan's tail mask.
-        """
-        if collection.n != self.n:
-            raise ValidationError(
-                f"index over n={self.n} cannot take a collection with n={collection.n}"
-            )
-        # bind a local: a pressure handler may clear the cache slot
-        # mid-extend, and the caller must still get the plane it asked for
-        plane = self._membership
-        if plane is None:
-            plane = self._membership = MembershipPlane(self.n)
-        extend_membership(plane, collection)
-        return plane
-
-    def drop_membership(self) -> int:
-        """Drop the cached membership plane; returns its accounted bytes.
-
-        The plane is pure cache — the next word-parallel scan rebuilds
-        it from the collection bit-identically, or selection falls back
-        to the CSR scan if the budget no longer admits it.  A scan
-        concurrently holding the plane keeps it alive (and charged)
-        until it finishes; only the cache slot is cleared here.
-        """
-        plane = self._membership
-        if plane is None:
-            return 0
-        self._membership = None
-        return int(plane.nbytes)
-
     # -- maintenance ---------------------------------------------------------
     def _compact(self) -> None:
         """Merge every block into one — an O(total) scatter, no re-sort.
@@ -251,25 +210,3 @@ def _segment_vertices(starts: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Vertex id of each kept posting in a block (for partial counts)."""
     verts = np.repeat(np.arange(starts.size - 1, dtype=np.int64), np.diff(starts))
     return verts[keep]
-
-
-def extend_membership(plane: MembershipPlane, collection) -> None:
-    """Grow ``plane`` over ``collection``'s stream suffix it has not seen.
-
-    Set ids for the new elements come from the collection's offsets —
-    valid stream-wide because prefix-consistent collections share their
-    offset prefix.  A collection shorter than the plane is a no-op (the
-    scan clips with a tail mask instead).
-    """
-    total = collection.total_elements
-    if plane.num_elements >= total:
-        return
-    start = plane.num_elements
-    offsets = collection.offsets
-    first = int(np.searchsorted(offsets, start, side="right")) - 1
-    seg_counts = np.diff(offsets[first:]).astype(np.int64)
-    seg_counts[0] = offsets[first + 1] - start
-    seg_set_ids = np.repeat(
-        np.arange(first, collection.num_sets, dtype=np.int64), seg_counts
-    )
-    plane.extend(collection.flat[start:total], seg_set_ids, collection.num_sets)

@@ -299,7 +299,6 @@ def _run_imm_core(
                 sel = select_seeds(
                     collection, k,
                     index=selection_index(),
-                    scan=options.coverage_scan,
                 )
             last_selection = sel
             influence_est = n * sel.coverage_fraction
@@ -342,7 +341,6 @@ def _run_imm_core(
             selection = select_seeds(
                 collection, k,
                 index=selection_index(),
-                scan=options.coverage_scan,
             )
     else:
         # the last estimation phase already ran greedy on this exact

@@ -65,12 +65,6 @@ class IMMOptions:
         :class:`~repro.kernels.planes.VisitedSet`).  ``None`` defers to
         ``REPRO_VISITED_MODE``, then ``"auto"``.  Output is
         bit-identical across modes.
-    coverage_scan:
-        Seed-selection marginal-coverage scan: ``"csr"`` (inverted
-        postings), ``"bitset"`` (word-parallel popcount over a packed
-        membership plane), or ``"auto"`` (budget-gated).  ``None``
-        defers to ``REPRO_COVERAGE_SCAN``, then ``"auto"``.  Seeds and
-        statistics are bit-identical across scans.
     memory_budget_mb:
         Process memory budget in MiB, pinned on the shared governor
         (:mod:`repro.memory.budget`) for the duration of the run: RRR
@@ -90,7 +84,6 @@ class IMMOptions:
     resilience: ResilienceOptions | None = None
     data_plane: str | None = None
     visited_mode: str | None = None
-    coverage_scan: str | None = None
     memory_budget_mb: float | None = None
 
     def __post_init__(self):
@@ -122,12 +115,6 @@ class IMMOptions:
 
             object.__setattr__(
                 self, "visited_mode", resolve_visited_mode(self.visited_mode)
-            )
-        if self.coverage_scan is not None:
-            from repro.kernels import resolve_coverage_scan
-
-            object.__setattr__(
-                self, "coverage_scan", resolve_coverage_scan(self.coverage_scan)
             )
         if self.memory_budget_mb is not None and not self.memory_budget_mb > 0:
             raise ValidationError("memory_budget_mb must be positive or None")

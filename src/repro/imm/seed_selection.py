@@ -33,15 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.imm.coverage import CoverageIndex, extend_membership
-from repro.kernels import (
-    MembershipPlane,
-    andnot_words,
-    choose_scan_impl,
-    decode_bits,
-    tail_mask,
-    words_for_bits,
-)
+from repro.imm.coverage import CoverageIndex
 from repro.rrr.collection import RRRCollection
 from repro.utils.errors import ValidationError
 from repro.utils.segments import segmented_arange
@@ -80,7 +72,6 @@ def select_seeds(
     collection: RRRCollection,
     k: int,
     index: CoverageIndex | None = None,
-    scan: str | None = None,
 ) -> SelectionResult:
     """Greedy max-coverage selection of ``k`` seeds (ties -> lowest id).
 
@@ -92,15 +83,8 @@ def select_seeds(
     ``index`` — an optional :class:`CoverageIndex` whose stream prefix
     matches ``collection.flat`` (it may cover *more* elements, e.g. the
     store's full cached sample behind a prefix view); when omitted a
-    throwaway one is built.
-
-    ``scan`` — how the newly covered sets of each pick are computed:
-    ``"csr"`` walks the vertex's postings element-wise, ``"bitset"``
-    takes popcount(membership AND NOT covered) over packed words (the
-    host mirror of §3.5 thread-based scanning), ``"auto"`` (or ``None``,
-    via ``REPRO_COVERAGE_SCAN``) picks bitset when the membership plane
-    fits the memory budget.  Seeds and :class:`SelectionStats` are
-    bit-identical across scans.
+    throwaway one is built.  Each pick's newly covered sets come from
+    walking the vertex's postings in that index.
     """
     _check_k(collection, k)
     if index is not None:
@@ -113,8 +97,7 @@ def select_seeds(
                 f"index covers {index.num_elements} elements, collection has "
                 f"{collection.total_elements}; extend the index first"
             )
-    scan_impl = choose_scan_impl(scan, collection.n, collection.num_sets)
-    result = _greedy_indexed(collection, k, index, scan_impl)
+    result = _greedy_indexed(collection, k, index)
     if obs.enabled():
         obs.counter_add("selection.iterations", k)
         obs.counter_add("selection.sets_scanned", int(result.stats.sets_scanned.sum()))
@@ -136,7 +119,6 @@ def _greedy_indexed(
     collection: RRRCollection,
     k: int,
     index: CoverageIndex | None,
-    scan_impl: str,
 ) -> SelectionResult:
     flat = collection.flat
     offsets = collection.offsets
@@ -145,44 +127,18 @@ def _greedy_indexed(
     counts = collection.counts.copy()
     sizes = np.diff(offsets)
 
-    word_scan = scan_impl == "bitset"
-    if word_scan:
-        # packed covered-sets bitmap + vertex->set membership plane:
-        # each pick's newly covered sets are decoded from
-        # membership AND NOT covered over theta-bit words
-        if index is not None:
-            obs.counter_add(
-                "selection.index.served_elements", collection.total_elements
-            )
-            plane = index.membership(collection)
-        else:
-            plane = MembershipPlane(n)
-            extend_membership(plane, collection)
-            obs.counter_add(
-                "selection.index.built_elements", collection.total_elements
-            )
-        nwords = words_for_bits(num_sets)
-        covered_words = np.zeros(nwords, dtype=np.uint64)
-        # the plane may cover more sets than this collection (prefix
-        # view of a warm-start store); mask the final word's tail
-        last_mask = tail_mask(num_sets)
-        covered = None
-        limit = None
+    if index is None:
+        index = CoverageIndex.build(collection)
     else:
-        if index is None:
-            index = CoverageIndex.build(collection)
-        else:
-            obs.counter_add(
-                "selection.index.served_elements", collection.total_elements
-            )
-        # the index may extend beyond this collection (prefix view of a
-        # warm-start store); clip postings to the elements actually present
-        limit = (
-            collection.total_elements
-            if index.num_elements > collection.total_elements
-            else None
-        )
-        covered = np.zeros(num_sets, dtype=bool)
+        obs.counter_add("selection.index.served_elements", collection.total_elements)
+    # the index may extend beyond this collection (prefix view of a
+    # warm-start store); clip postings to the elements actually present
+    limit = (
+        collection.total_elements
+        if index.num_elements > collection.total_elements
+        else None
+    )
+    covered = np.zeros(num_sets, dtype=bool)
     seeds = np.empty(k, dtype=np.int64)
     gains = np.empty(k, dtype=np.int64)
     scanned = np.empty(k, dtype=np.int64)
@@ -194,23 +150,12 @@ def _greedy_indexed(
         v = int(np.argmax(counts))
         seeds[it] = v
         scanned[it] = num_sets - covered_total  # Alg. 3 scans uncovered sets
-        if word_scan:
-            new_words = andnot_words(plane.row(v, nwords), covered_words)
-            if nwords:
-                new_words[-1] &= last_mask
-            covered_words |= new_words
-            # ascending decode == the CSR path's ascending set ids
-            # (a vertex occurs at most once per stored set)
-            new_sets = decode_bits(new_words)
-            if obs.enabled():
-                obs.counter_add("selection.scan.words_touched", 2 * nwords)
-        else:
-            positions = index.postings(v, limit)
-            set_ids = np.searchsorted(offsets, positions, side="right") - 1
-            new_sets = set_ids[~covered[set_ids]]
-            covered[new_sets] = True
-            if obs.enabled():
-                obs.counter_add("selection.scan.posting_reads", int(positions.size))
+        positions = index.postings(v, limit)
+        set_ids = np.searchsorted(offsets, positions, side="right") - 1
+        new_sets = set_ids[~covered[set_ids]]
+        covered[new_sets] = True
+        if obs.enabled():
+            obs.counter_add("selection.scan.posting_reads", int(positions.size))
         gains[it] = new_sets.size
         found[it] = new_sets.size
         covered_total += new_sets.size

@@ -16,9 +16,7 @@ small family of NumPy kernels over packed ``uint64`` planes:
   through a 256-entry uint8 lookup-table view (no Python-level bit
   twiddling, no 64x ``unpackbits`` blow-up);
 * :func:`decode_bits` — ascending bit positions of a word array,
-  expanding only the nonzero words;
-* :func:`andnot_words` — the ``new = mine AND NOT covered`` inner step
-  of the word-parallel coverage scan.
+  expanding only the nonzero words.
 
 Everything operates on little-endian bit order within each word
 (``bit i of word w`` is id ``64*w + i``), matching the layout
@@ -50,15 +48,6 @@ def words_for_bits(nbits: int) -> int:
     if nbits < 0:
         raise ValidationError("bit count must be non-negative")
     return -(-int(nbits) // WORD_BITS)
-
-
-def tail_mask(nbits: int) -> np.uint64:
-    """Mask of the valid bits in the final word of an ``nbits`` plane
-    row (all-ones when ``nbits`` is a word multiple)."""
-    rem = int(nbits) % WORD_BITS
-    if rem == 0:
-        return np.uint64(0xFFFFFFFFFFFFFFFF)
-    return np.uint64((1 << rem) - 1)
 
 
 def split_index(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,14 +122,6 @@ def popcount_rows(plane: np.ndarray) -> np.ndarray:
         return np.zeros(rows, dtype=np.int64)
     bytes_view = plane.view(np.uint8).reshape(rows, -1)
     return _POPCOUNT8[bytes_view].sum(axis=1, dtype=np.int64)
-
-
-def andnot_words(mine: np.ndarray, covered: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``mine AND NOT covered`` — the word-parallel marginal-gain core."""
-    if out is None:
-        return mine & ~covered
-    np.bitwise_and(mine, ~covered, out=out)
-    return out
 
 
 def decode_bits(words: np.ndarray, nbits: int | None = None) -> np.ndarray:

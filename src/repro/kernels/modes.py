@@ -1,19 +1,17 @@
-"""Kernel-mode resolution: which visited/scan implementation runs.
+"""Kernel-mode resolution: which visited implementation runs.
 
-Both knobs are *operational* — every implementation produces
-bit-identical output — so, like the data plane, they are resolved at
-call time (explicit value > environment > ``auto``) and never become
-part of store or pool identities.
+The visited mode is *operational* — every implementation produces
+bit-identical output — so, like the data plane, it is resolved at call
+time (explicit value > environment > ``auto``) and never becomes part
+of store or pool identities.  ``auto`` starts every sampler batch on
+the sorted key array and promotes it to the dense plane by measured
+work — the rule lives with the object that applies it,
+:class:`~repro.kernels.planes.VisitedSet`.  A plane that does not fit
+falls back to the sorted path; fallbacks are counted
+(``kernels.bitset.fallbacks``), not raised.
 
-* Visited bookkeeping: ``auto`` starts every sampler batch on the sorted
-  key array and promotes it to the dense plane by measured work — the
-  rule lives with the object that applies it,
-  :class:`~repro.kernels.planes.VisitedSet`.
-* Coverage scan: ``auto`` picks the dense bitset scan when its
-  membership plane fits the memory budget (:func:`choose_scan_impl`).
-
-A plane that does not fit falls back to the sparse path; fallbacks are
-counted (``kernels.bitset.fallbacks``), not raised.
+Seed selection has one coverage scan, the CSR postings walk
+(:func:`resolve_coverage_scan` reports it for run manifests).
 """
 
 from __future__ import annotations
@@ -21,21 +19,16 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro import obs
-from repro.kernels.bitset import words_for_bits
 from repro.memory.budget import env_budget_bytes, governor
 from repro.utils.errors import ValidationError
 
 #: how the samplers keep per-traversal visited state
 VISITED_MODES = ("auto", "sorted", "bitset")
-#: how seed selection computes marginal coverage
-COVERAGE_SCANS = ("auto", "csr", "bitset")
 
 ENV_VISITED_MODE = "REPRO_VISITED_MODE"
-ENV_COVERAGE_SCAN = "REPRO_COVERAGE_SCAN"
 
-#: default ceiling for any single dense bit plane (visited plane or
-#: membership plane); ``auto`` falls back to the sparse path above it
+#: default ceiling for one dense visited plane; ``auto`` stays on the
+#: sorted path above it
 DEFAULT_PLANE_BUDGET_BYTES = 64 * 1024 * 1024
 
 
@@ -86,30 +79,6 @@ def resolve_visited_mode(value: Optional[str] = None) -> str:
 
 
 def resolve_coverage_scan(value: Optional[str] = None) -> str:
-    """Normalize a coverage-scan request (explicit > env > ``auto``)."""
-    if value is None:
-        value = os.environ.get(ENV_COVERAGE_SCAN) or None
-    if value is None:
-        return "auto"
-    scan = str(value).strip().lower()
-    if scan not in COVERAGE_SCANS:
-        raise ValidationError(
-            f"unknown coverage scan {value!r}; choose one of {COVERAGE_SCANS}"
-        )
-    return scan
-
-
-def choose_scan_impl(scan: str, n: int, num_sets: int) -> str:
-    """Pick ``'bitset'`` or ``'csr'`` for one selection run.
-
-    Budget-gated on the ``(n x num_sets)``-bit membership plane the
-    bitset scan would materialize.
-    """
-    scan = resolve_coverage_scan(scan)
-    if scan != "auto":
-        return scan
-    plane_bytes = int(n) * words_for_bits(num_sets) * 8
-    if _plane_fits(plane_bytes):
-        return "bitset"
-    obs.counter_add("kernels.bitset.fallbacks", 1)
+    """The coverage scan seed selection runs: always the CSR postings
+    walk (``value`` is ignored; run manifests pass ``None``)."""
     return "csr"

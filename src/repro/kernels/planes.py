@@ -1,7 +1,7 @@
-"""Dense bit planes built on the word-parallel kernels.
+"""The sampler's dense visited plane, built on the word-parallel kernels.
 
-Two packed planes serve the two hot paths, and one visited-set object
-decides when the sampler side uses its plane:
+One packed plane serves the sampler's hot path, and one visited-set
+object decides when a batch uses it:
 
 * :class:`VisitedPlane` — the sampler-side ``(batch x n)``-bit visited
   plane, one row per in-flight RRR traversal.  Membership and dedup are
@@ -12,14 +12,9 @@ decides when the sampler side uses its plane:
 * :class:`VisitedSet` — one sampler batch's visited keys: a sorted key
   array that moves onto a :class:`VisitedPlane` once its merges have
   cost what the plane would (the promotion rule is stated on the class).
-* :class:`MembershipPlane` — the selection-side ``(n x theta)``-bit
-  vertex->set membership plane.  A vertex's marginal coverage is
-  ``popcount(row AND NOT covered)`` over packed words — the host mirror
-  of §3.5's thread-based scan — and rows extend append-only as the RRR
-  stream grows, so one plane serves every prefix of a sweep.
 
-Both planes account their footprint and word traffic to
-:mod:`repro.obs` (``kernels.bitset.*`` / ``kernels.membership.*``).
+The plane accounts its footprint and word traffic to :mod:`repro.obs`
+(``kernels.bitset.*``).
 """
 
 from __future__ import annotations
@@ -54,8 +49,8 @@ class _PlaneCharge:
     """Governor accounting for one plane's resident bytes.
 
     Planes have no ``close()`` — a visited plane lives for one sampler
-    batch, a membership plane for a store's lifetime — so the credit is
-    tied to garbage collection via ``weakref.finalize`` on the owner.
+    batch — so the credit is tied to garbage collection via
+    ``weakref.finalize`` on the owner.
     The governor instance is captured at creation: after a test's
     ``reset_governor`` the release still balances the ledger it charged.
     """
@@ -266,81 +261,3 @@ class VisitedSet:
         """Visited-vertex count per traversal (counted from the keys: a
         plane's popcount would cost a byte lookup per plane byte)."""
         return np.bincount(self.keys() // self.n, minlength=self.batch)
-
-
-class MembershipPlane:
-    """Append-only packed ``(n x num_sets)``-bit vertex->set membership.
-
-    Row ``v`` is the bitmap of RRR set ids containing vertex ``v``.
-    Word capacity grows geometrically (columns double), so extending by
-    one chunk of the stream is amortized O(new elements); rows are
-    stable views once capacity suffices, which is what lets one plane
-    serve every theta prefix of a warm-start sweep.
-    """
-
-    __slots__ = (
-        "n", "num_sets", "num_elements", "_words_cap", "_plane", "_charge",
-        "__weakref__",
-    )
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValidationError("MembershipPlane needs at least one vertex")
-        self.n = int(n)
-        self.num_sets = 0
-        self.num_elements = 0
-        self._words_cap = 1
-        self._plane = np.zeros((self.n, 1), dtype=np.uint64)
-        self._charge = _PlaneCharge()
-        self._charge.resize(self._plane.nbytes)
-        weakref.finalize(self, self._charge.release)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._plane.nbytes)
-
-    def _grow_to(self, num_sets: int) -> None:
-        need = words_for_bits(num_sets)
-        if need <= self._words_cap:
-            return
-        cap = self._words_cap
-        while cap < need:
-            cap *= 2
-        wider = np.zeros((self.n, cap), dtype=np.uint64)
-        wider[:, : self._words_cap] = self._plane
-        self._plane = wider
-        self._words_cap = cap
-        self._charge.resize(self._plane.nbytes)
-        obs.gauge_max("kernels.membership.plane_bytes", int(self._plane.nbytes))
-
-    def extend(
-        self, seg_flat: np.ndarray, seg_set_ids: np.ndarray, num_sets_after: int
-    ) -> None:
-        """Scatter the next stream segment's ``(vertex, set)`` bits.
-
-        ``seg_flat``/``seg_set_ids`` are parallel arrays for global
-        element positions ``num_elements ..``; set ids must be
-        non-decreasing (stream order), which makes the vertex-major
-        stable sort below produce a word-sorted scatter.
-        """
-        seg_flat = np.asarray(seg_flat)
-        if seg_flat.size != np.asarray(seg_set_ids).size:
-            raise ValidationError("segment arrays must be parallel")
-        if num_sets_after < self.num_sets:
-            raise ValidationError("membership plane is append-only")
-        self._grow_to(num_sets_after)
-        if seg_flat.size:
-            # stable vertex sort: within a vertex, set ids stay ascending,
-            # so word indices are globally non-decreasing for scatter_or
-            order = np.argsort(seg_flat, kind="stable")
-            v = seg_flat[order].astype(np.int64)
-            sets = np.asarray(seg_set_ids)[order].astype(np.int64)
-            word, mask = split_index(sets)
-            scatter_or(self._plane.reshape(-1), v * self._words_cap + word, mask)
-            obs.counter_add("kernels.bitset.words_touched", v.size)
-        self.num_sets = max(self.num_sets, int(num_sets_after))
-        self.num_elements += int(seg_flat.size)
-
-    def row(self, v: int, nwords: int) -> np.ndarray:
-        """The first ``nwords`` membership words of vertex ``v`` (a view)."""
-        return self._plane[v, :nwords]

@@ -7,9 +7,8 @@ governor (:func:`governor`):
 * the :class:`~repro.shm.arena.ChunkArena` and the warm-start
   :class:`~repro.rrr.store.RRRStore`'s chunk payloads (account
   ``rrr.chunks`` / the concat cache ``rrr.concat``);
-* the dense kernel planes —
-  :class:`~repro.kernels.planes.VisitedPlane` /
-  :class:`~repro.kernels.planes.MembershipPlane` (account
+* the sampler's dense visited planes,
+  :class:`~repro.kernels.planes.VisitedPlane` (account
   ``kernels.planes``);
 * the serving tier's :class:`~repro.service.cache.SubstrateTable` and
   :class:`~repro.service.cache.ExactResultCache` (accounts

@@ -257,11 +257,9 @@ class RRRStore:
         RAM bytes are freed (or nothing demotable remains).
 
         Policy, cheapest-to-undo first: hot chunks compress in LRU
-        order, then compressed chunks spill to disk, then the coverage
-        index's dense membership plane is dropped (one rebuild pass
-        from the collection), and only then is the concatenated prefix
-        cache dropped (it is pure cache, but rebuilding it means
-        decoding every chunk).  Non-blocking: if
+        order, then compressed chunks spill to disk, and only then is
+        the concatenated prefix cache dropped (it is pure cache, but
+        rebuilding it means decoding every chunk).  Non-blocking: if
         another thread is mid-``ensure`` on this store, pressure moves
         on to the next handler instead of deadlocking.
         """
@@ -289,8 +287,6 @@ class RRRStore:
                         # accounting without freeing memory
                         freed += self._drop_concat()
                     freed += chunk.demote()
-            if freed < deficit and self._index is not None:
-                freed += self._index.drop_membership()
             if freed < deficit:
                 freed += self._drop_concat()
             return freed

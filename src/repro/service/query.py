@@ -38,10 +38,24 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 CACHE_TIERS = ("exact", "prefix", "cold")
 
 
+class CoalesceKey(NamedTuple):
+    """The stream identity compatible queries share; its fields mirror
+    :meth:`repro.rrr.store.RRRStore.key`.  Equal to (and hashed as) the
+    plain tuple of its fields, so it *is* the store's registry key."""
+
+    fingerprint: str
+    model: str
+    eliminate_sources: bool
+    entropy: object
+    n_jobs: int
+    chunk_sets: int
+    batch_size: int
+
+
 class ResultKey(NamedTuple):
-    """The tier-1 exact-cache address: the coalescing key's fields, then
-    the answer shape.  Equal to (and hashed as) the plain tuple of its
-    fields."""
+    """The tier-1 exact-cache address: the :class:`CoalesceKey` fields,
+    then the answer shape.  Equal to (and hashed as) the plain tuple of
+    its fields."""
 
     fingerprint: str
     model: str
@@ -111,29 +125,29 @@ class InfluenceQuery:
             )
 
     # -- keys ----------------------------------------------------------------
-    def coalesce_key(self, graph: DirectedGraph, chunk_sets: int) -> tuple:
-        """The stream-identity tuple compatible queries share.
+    def coalesce_key(self, graph: DirectedGraph, chunk_sets: int) -> CoalesceKey:
+        """The stream identity compatible queries share.
 
-        Mirrors :meth:`repro.rrr.store.RRRStore.key` exactly — this
-        tuple *is* the substrate store's registry key, which is what
-        makes "coalesced queries share one store" true by construction.
+        Mirrors :meth:`repro.rrr.store.RRRStore.key` exactly — this key
+        *is* the substrate store's registry key, which is what makes
+        "coalesced queries share one store" true by construction.
         """
         from repro.rrr.store import _normalize_entropy
 
-        return (
-            graph.fingerprint(),
-            self.options.model,
-            self.options.eliminate_sources,
-            _normalize_entropy(self.entropy),
-            self.options.n_jobs,
-            int(chunk_sets),
-            self.options.batch_size,
+        return CoalesceKey(
+            fingerprint=graph.fingerprint(),
+            model=self.options.model,
+            eliminate_sources=self.options.eliminate_sources,
+            entropy=_normalize_entropy(self.entropy),
+            n_jobs=self.options.n_jobs,
+            chunk_sets=int(chunk_sets),
+            batch_size=self.options.batch_size,
         )
 
     def result_key(self, graph: DirectedGraph, chunk_sets: int) -> ResultKey:
         """The tier-1 exact-cache address: coalescing key + answer shape."""
         return ResultKey(
-            *self.coalesce_key(graph, chunk_sets),
+            **self.coalesce_key(graph, chunk_sets)._asdict(),
             k=int(self.k),
             epsilon=float(self.epsilon),
             bounds=self.options.bounds,

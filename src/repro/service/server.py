@@ -73,8 +73,7 @@ from repro.utils.errors import (
 _REQUEST_FIELDS = {
     "graph", "dataset", "scale", "graph_seed", "k", "epsilon", "model",
     "eliminate_sources", "entropy", "n_jobs",
-    "batch_size", "theta_scale", "data_plane", "visited_mode",
-    "coverage_scan", "deadline",
+    "batch_size", "theta_scale", "data_plane", "visited_mode", "deadline",
 }
 
 #: default ceiling on one request line (a JSON query fits in a fraction)
@@ -131,7 +130,6 @@ def build_query(service: InfluenceService, request: dict) -> InfluenceQuery:
         batch_size=int(request.get("batch_size", 16384)),
         data_plane=request.get("data_plane"),
         visited_mode=request.get("visited_mode"),
-        coverage_scan=request.get("coverage_scan"),
     )
     entropy = request.get("entropy", 0)
     if isinstance(entropy, list):

@@ -84,6 +84,7 @@ from repro.service.scheduler import QueryScheduler, ScheduledJob
 from repro.utils.errors import (
     CircuitOpenError,
     DeadlineExceededError,
+    MemoryPressureError,
     ResilienceError,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -232,11 +233,7 @@ class InfluenceService:
                     resolved.set_result(degraded)
                     return resolved, deadline
             self._count("service.memory_pressure.shed")
-            raise ServiceOverloadedError(
-                "memory budget exhausted "
-                f"(charged {gov.charged_bytes} of {gov.budget_bytes} bytes); "
-                "retry later or raise --memory-budget-mb"
-            )
+            raise MemoryPressureError(gov.charged_bytes, gov.budget_bytes)
 
         job = ScheduledJob(query=query, key=key, deadline=deadline)
         try:

@@ -62,6 +62,25 @@ class ServiceOverloadedError(ServiceError):
         )
 
 
+class MemoryPressureError(ServiceOverloadedError):
+    """The service shed a query: the memory budget stayed overcommitted
+    after every pressure handler ran.
+
+    Backpressure like a full queue, so it is a
+    :class:`ServiceOverloadedError` to callers that back off on one;
+    carries the governor's charged and budget bytes instead of a depth.
+    """
+
+    def __init__(self, charged_bytes: int, budget_bytes: int | None):
+        self.charged_bytes = int(charged_bytes)
+        self.budget_bytes = budget_bytes
+        ServiceError.__init__(
+            self,
+            f"memory budget exhausted (charged {charged_bytes} of "
+            f"{budget_bytes} bytes); retry later or raise --memory-budget-mb",
+        )
+
+
 class ServiceClosedError(ServiceError):
     """A query was submitted to a service after :meth:`close`.
 

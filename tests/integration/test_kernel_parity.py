@@ -1,5 +1,5 @@
-"""End-to-end kernel parity: the visited-mode and coverage-scan knobs
-are purely operational, so full IMM runs — serial, pooled over both
+"""End-to-end kernel parity: the visited-mode knob is purely
+operational, so full IMM runs — serial, pooled over both
 data planes, fault-injected, and checkpoint-resumed — must produce
 bit-identical seeds and statistics whichever implementations run."""
 
@@ -48,13 +48,10 @@ def _options(model, **kw):
 def test_run_imm_parity_across_modes(model, small_ic_graph, small_lt_graph):
     graph = small_ic_graph if model == "IC" else small_lt_graph
     ref = run_imm(graph, 6, 0.3, rng=3,
-                  options=_options(model, visited_mode="sorted",
-                                   coverage_scan="csr"))
-    for visited, scan in (("bitset", "bitset"), ("auto", "auto"),
-                          ("bitset", "csr"), ("sorted", "bitset")):
+                  options=_options(model, visited_mode="sorted"))
+    for visited in ("bitset", "auto"):
         out = run_imm(graph, 6, 0.3, rng=3,
-                      options=_options(model, visited_mode=visited,
-                                       coverage_scan=scan))
+                      options=_options(model, visited_mode=visited))
         _assert_same_result(ref, out)
 
 
@@ -105,20 +102,20 @@ def test_warm_start_checkpoint_resume_parity(tmp_path):
     """A checkpointed sweep written under one visited mode resumes under
     the other with the identical table row: chunk bytes on disk are
     mode-independent."""
-    def config(visited, scan, checkpoint_dir):
+    def config(visited, checkpoint_dir):
         return ExperimentConfig(
             scale="tiny", datasets=("WV",), seed=7,
             theta_scale=0.2, sweep_theta_scale=0.2,
             warm_start=True, checkpoint_dir=str(checkpoint_dir),
-            visited_mode=visited, coverage_scan=scan,
+            visited_mode=visited,
         )
 
     cold = compare_engines("WV", 8, 0.3, "IC",
-                           config("sorted", "csr", tmp_path),
+                           config("sorted", tmp_path),
                            include_curipples=False)
     clear_stores()  # the "kill": in-memory state gone, checkpoints stay
     resumed = compare_engines("WV", 8, 0.3, "IC",
-                              config("bitset", "bitset", tmp_path),
+                              config("bitset", tmp_path),
                               include_curipples=False)
     assert np.array_equal(resumed.eim.seeds, cold.eim.seeds)
     assert np.array_equal(resumed.gim.seeds, cold.gim.seeds)
@@ -128,7 +125,7 @@ def test_warm_start_checkpoint_resume_parity(tmp_path):
     # and a from-scratch bitset sweep agrees with the sorted one
     clear_stores()
     fresh = compare_engines("WV", 8, 0.3, "IC",
-                            config("bitset", "bitset", tmp_path / "fresh"),
+                            config("bitset", tmp_path / "fresh"),
                             include_curipples=False)
     assert np.array_equal(fresh.eim.seeds, cold.eim.seeds)
     assert fresh.eim.theta == cold.eim.theta

@@ -1,6 +1,7 @@
-"""Coverage-scan parity: the word-parallel bitset scan must pick the
-same seeds with the same :class:`SelectionStats` as the CSR postings
-walk, including prefix views of a shared warm index."""
+"""Coverage-scan checks: the CSR postings walk must pick the same seeds
+with the same :class:`SelectionStats` as the Alg. 3 oracle, including
+prefix views of a shared warm index, and selection must charge nothing
+to the memory governor."""
 
 from __future__ import annotations
 
@@ -10,8 +11,7 @@ import pytest
 from repro import obs
 from repro.imm.coverage import CoverageIndex
 from repro.imm.seed_selection import select_seeds, select_seeds_reference
-from repro.kernels import ENV_COVERAGE_SCAN
-from repro.memory.budget import ENV_MEMORY_BUDGET_MB
+from repro.memory.budget import budget_scope
 from repro.rrr import sample_rrr_ic
 
 
@@ -35,73 +35,70 @@ def collection(small_ic_graph):
 
 
 def test_scan_parity(collection):
-    ref = select_seeds(collection, 8, scan="csr")
-    for scan in ("bitset", "auto"):
-        _assert_same_selection(ref, select_seeds(collection, 8, scan=scan))
-    # both agree with the Alg. 3 oracle
-    _assert_same_selection(ref, select_seeds_reference(collection, 8))
+    ref = select_seeds_reference(collection, 8)
+    _assert_same_selection(ref, select_seeds(collection, 8))
+    # a caller-held index gives the same answer as a throwaway one
+    index = CoverageIndex.build(collection)
+    _assert_same_selection(ref, select_seeds(collection, 8, index=index))
 
 
-def test_env_var_selects_scan(collection, monkeypatch):
-    ref = select_seeds(collection, 5, scan="csr")
-    monkeypatch.setenv(ENV_COVERAGE_SCAN, "bitset")
-    with obs.profiled() as handle:
+def test_selection_under_tiny_budget_charges_no_plane(collection, monkeypatch):
+    """Selection walks postings whatever the budget: it reserves no
+    dense plane, so it cannot push RRR chunks out of a tight budget."""
+    ref = select_seeds_reference(collection, 5)
+    with budget_scope(1024) as gov, obs.profiled() as handle:
+        requests = []
+        monkeypatch.setattr(gov, "request", lambda nbytes=0: requests.append(nbytes))
+        monkeypatch.setattr(gov, "account", lambda *args: requests.append(args))
         out = select_seeds(collection, 5)
+    assert requests == []
     _assert_same_selection(ref, out)
     counters = handle.report().counters
-    assert counters.get("selection.scan.words_touched", 0) > 0
-    assert counters.get("selection.scan.posting_reads", 0) == 0
-
-
-def test_auto_falls_back_under_tiny_budget(collection, monkeypatch):
-    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "0.001")
-    ref = select_seeds(collection, 5, scan="csr")
-    with obs.profiled() as handle:
-        out = select_seeds(collection, 5, scan="auto")
-    _assert_same_selection(ref, out)
-    counters = handle.report().counters
-    assert counters.get("kernels.bitset.fallbacks", 0) >= 1
     assert counters.get("selection.scan.posting_reads", 0) > 0
+    assert counters.get("kernels.bitset.fallbacks", 0) == 0
+    assert "kernels.membership.plane_bytes" not in handle.report().gauges
 
 
 def test_prefix_view_through_shared_index(small_ic_graph):
-    """A CoverageIndex (and its cached membership plane) that already
-    covers the full stream serves any collection prefix — the tail bits
-    beyond the prefix must be masked out."""
+    """A CoverageIndex that already covers the full stream serves any
+    collection prefix — postings beyond the prefix must be clipped."""
     full, _ = sample_rrr_ic(small_ic_graph, 600, rng=23)
     prefix = full.prefix(250)
     index = CoverageIndex.build(full)  # ahead of the prefix
-    ref = select_seeds(prefix, 6, index=index, scan="csr")
-    out = select_seeds(prefix, 6, index=index, scan="bitset")
-    _assert_same_selection(ref, out)
-    # and the same membership plane then serves the full collection
-    ref_full = select_seeds(full, 6, index=index, scan="csr")
-    out_full = select_seeds(full, 6, index=index, scan="bitset")
-    _assert_same_selection(ref_full, out_full)
+    _assert_same_selection(
+        select_seeds_reference(prefix, 6), select_seeds(prefix, 6, index=index)
+    )
+    # and the same index then serves the full collection
+    _assert_same_selection(
+        select_seeds_reference(full, 6), select_seeds(full, 6, index=index)
+    )
 
 
-def test_membership_plane_grows_with_index(small_ic_graph):
-    """Selecting on a growing stream through one index reuses and
-    extends the same membership plane instead of rebuilding it."""
+def test_index_grows_with_stream(small_ic_graph):
+    """Selecting on a growing stream through one index extends it by
+    the new elements only, and each prefix matches the oracle."""
     full, _ = sample_rrr_ic(small_ic_graph, 400, rng=31)
     index = CoverageIndex(full.n)
-    planes = []
-    for theta in (100, 250, 400):
-        view = full.prefix(theta)
-        index.extend_to(view)
-        select_seeds(view, 4, index=index, scan="bitset")
-        planes.append(index._membership)
-        assert index._membership.num_sets == theta
-    assert planes[0] is planes[1] is planes[2]
+    with obs.profiled() as handle:
+        for theta in (100, 250, 400):
+            view = full.prefix(theta)
+            index.extend_to(view)
+            _assert_same_selection(
+                select_seeds_reference(view, 4), select_seeds(view, 4, index=index)
+            )
+    counters = handle.report().counters
+    assert counters["selection.index.built_elements"] == full.total_elements
+    assert index.num_elements == full.total_elements
 
 
-def test_bitset_scan_beats_csr_on_element_touches(collection):
-    """The gate's mechanism in miniature: scanning words touches far
-    fewer elements than walking postings."""
-    with obs.profiled() as handle:
-        select_seeds(collection, 8, scan="bitset")
-    words = handle.report().counters.get("selection.scan.words_touched", 0)
-    with obs.profiled() as handle:
-        select_seeds(collection, 8, scan="csr")
-    reads = handle.report().counters.get("selection.scan.posting_reads", 0)
-    assert words > 0 and reads > 0
+def test_saturation_past_full_coverage(small_ic_graph):
+    """Past full coverage every gain is zero: later picks are the
+    lowest-id unselected vertices, exactly as in the oracle."""
+    coll, _ = sample_rrr_ic(small_ic_graph, 40, rng=5)
+    k = min(coll.n, 60)
+    ref = select_seeds_reference(coll, k)
+    out = select_seeds(coll, k)
+    _assert_same_selection(ref, out)
+    assert out.covered_sets == coll.num_sets
+    assert out.marginal_gains[-1] == 0
+    assert np.unique(out.seeds).size == k

@@ -31,6 +31,8 @@ def test_model_normalized_and_validated():
 def test_field_validation():
     with pytest.raises(TypeError):
         IMMOptions(selection_strategy="fast")  # removed knob
+    with pytest.raises(TypeError):
+        IMMOptions(coverage_scan="csr")  # removed knob: one selection scan
     with pytest.raises(ValidationError):
         IMMOptions(batch_size=0)
     with pytest.raises(ValidationError):

@@ -8,13 +8,9 @@ import pytest
 from repro import obs
 from repro.kernels import (
     DEFAULT_PLANE_BUDGET_BYTES,
-    ENV_COVERAGE_SCAN,
     ENV_VISITED_MODE,
-    MembershipPlane,
     VisitedPlane,
     VisitedSet,
-    andnot_words,
-    choose_scan_impl,
     decode_bits,
     pack_bits,
     plane_budget_bytes,
@@ -24,7 +20,6 @@ from repro.kernels import (
     resolve_visited_mode,
     scatter_or,
     split_index,
-    tail_mask,
     words_for_bits,
 )
 from repro.kernels import test_bits as bits_test  # alias: not a pytest case
@@ -42,17 +37,6 @@ def test_words_for_bits_boundaries():
     assert words_for_bits(65) == 2
     assert words_for_bits(128) == 2
     assert words_for_bits(129) == 3
-
-
-def test_tail_mask_exact_multiple_is_all_ones():
-    assert int(tail_mask(64)) == (1 << 64) - 1
-    assert int(tail_mask(128)) == (1 << 64) - 1
-
-
-def test_tail_mask_partial_word():
-    assert int(tail_mask(1)) == 1
-    assert int(tail_mask(65)) == 1
-    assert int(tail_mask(67)) == 0b111
 
 
 @pytest.mark.parametrize("nbits", [1, 5, 63, 64, 65, 127, 128, 200])
@@ -100,12 +84,6 @@ def test_popcount_words_and_rows():
     assert popcount_words(words) == 64 + 3
     plane = words.reshape(3, 1)
     np.testing.assert_array_equal(popcount_rows(plane), [0, 64, 3])
-
-
-def test_andnot_words():
-    mine = np.array([0b1111], dtype=np.uint64)
-    covered = np.array([0b0101], dtype=np.uint64)
-    np.testing.assert_array_equal(andnot_words(mine, covered), [0b1010])
 
 
 def test_scatter_or_handles_duplicate_words():
@@ -167,35 +145,6 @@ def test_visited_plane_publishes_plane_bytes():
 
 
 # ---------------------------------------------------------------------------
-# MembershipPlane
-# ---------------------------------------------------------------------------
-def test_membership_plane_extend_and_grow():
-    plane = MembershipPlane(5)
-    # sets: 0 -> {0, 3}, 1 -> {1}, then 70 more singleton sets of vertex 2
-    plane.extend(np.array([0, 3, 1]), np.array([0, 0, 1]), 2)
-    assert plane.num_sets == 2
-    assert plane.num_elements == 3
-    plane.extend(np.full(70, 2), np.arange(2, 72), 72)  # forces word growth
-    assert plane.num_sets == 72
-
-    nwords = words_for_bits(72)
-    np.testing.assert_array_equal(decode_bits(plane.row(0, nwords)), [0])
-    np.testing.assert_array_equal(decode_bits(plane.row(1, nwords)), [1])
-    np.testing.assert_array_equal(decode_bits(plane.row(2, nwords)), np.arange(2, 72))
-    np.testing.assert_array_equal(decode_bits(plane.row(3, nwords)), [0])
-    assert decode_bits(plane.row(4, nwords)).size == 0
-
-
-def test_membership_plane_append_only():
-    plane = MembershipPlane(3)
-    plane.extend(np.array([0]), np.array([0]), 1)
-    with pytest.raises(ValidationError):
-        plane.extend(np.array([1]), np.array([0]), 0)
-    with pytest.raises(ValidationError):
-        plane.extend(np.array([1, 2]), np.array([0]), 2)
-
-
-# ---------------------------------------------------------------------------
 # mode resolution and the memory budget
 # ---------------------------------------------------------------------------
 def test_resolve_precedence_explicit_beats_env(monkeypatch):
@@ -209,11 +158,16 @@ def test_resolve_precedence_explicit_beats_env(monkeypatch):
 def test_resolve_rejects_unknown(monkeypatch):
     with pytest.raises(ValidationError):
         resolve_visited_mode("dense")
+    monkeypatch.setenv(ENV_VISITED_MODE, "nope")
     with pytest.raises(ValidationError):
-        resolve_coverage_scan("postings")
-    monkeypatch.setenv(ENV_COVERAGE_SCAN, "nope")
-    with pytest.raises(ValidationError):
-        resolve_coverage_scan(None)
+        resolve_visited_mode(None)
+
+
+def test_coverage_scan_is_always_csr(monkeypatch):
+    """One selection scan: run manifests report ``csr`` whatever the
+    environment says."""
+    monkeypatch.setenv("REPRO_COVERAGE_SCAN", "bitset")
+    assert resolve_coverage_scan(None) == "csr"
 
 
 def test_plane_budget_env_override(monkeypatch):
@@ -274,11 +228,3 @@ def test_visited_set_budget_fallback(monkeypatch):
     assert "kernels.bitset.plane_bytes" not in report.gauges
     # explicit bitset is honored even over budget (the caller asked)
     assert VisitedSet(sources, n, "bitset").on_plane
-
-
-def test_choose_scan_impl_budget_fallback(monkeypatch):
-    monkeypatch.delenv(ENV_MEMORY_BUDGET_MB, raising=False)
-    assert choose_scan_impl("auto", 1000, 5000) == "bitset"
-    assert choose_scan_impl("csr", 1000, 5000) == "csr"
-    monkeypatch.setenv(ENV_MEMORY_BUDGET_MB, "0.001")
-    assert choose_scan_impl("auto", 100_000, 1_000_000) == "csr"

@@ -92,6 +92,32 @@ def test_query_keys_mirror_store_identity(small_ic_graph):
     assert r1 == tuple(r1) and hash(r1) == hash(tuple(r1))
 
 
+def test_coalesce_key_is_named_and_finds_the_shared_store(small_ic_graph):
+    from repro.rrr import store as store_mod
+
+    q = InfluenceQuery(small_ic_graph, k=5, epsilon=0.3, entropy=(4, 2))
+    key = q.coalesce_key(small_ic_graph, 256)
+    plain = (
+        small_ic_graph.fingerprint(), "IC", False, (4, 2), 1, 256, 16384,
+    )
+    assert key == plain and hash(key) == hash(plain)
+    assert (key.model, key.entropy, key.chunk_sets) == ("IC", (4, 2), 256)
+    # the result key is built from the coalescing key's fields by name
+    result = q.result_key(small_ic_graph, 256)
+    assert result[: len(key)] == key
+    assert result._asdict().items() >= key._asdict().items()
+    store_mod.clear_stores()
+    try:
+        store = store_mod.shared_store(
+            small_ic_graph, entropy=(4, 2), chunk_sets=256
+        )
+        assert store.key() == key
+        assert store_mod._STORES[key] is store
+        assert store_mod._STORES[plain] is store
+    finally:
+        store_mod.clear_stores()
+
+
 def test_exact_cache_find_relaxed_matches_on_named_fields(small_ic_graph):
     cache = ExactResultCache(capacity=8)
     key = InfluenceQuery(small_ic_graph, k=5, epsilon=0.4).result_key(

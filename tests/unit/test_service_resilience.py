@@ -19,11 +19,15 @@ from repro.service import (
     InfluenceService,
     ServiceOptions,
 )
+from repro.memory.budget import budget_scope
 from repro.service.scheduler import QueryScheduler, ScheduledJob
+from repro.service.server import handle_request
 from repro.utils.errors import (
     CircuitOpenError,
     DeadlineExceededError,
+    MemoryPressureError,
     ServiceClosedError,
+    ServiceOverloadedError,
     ValidationError,
 )
 
@@ -438,3 +442,33 @@ def test_health_snapshot_shape(small_ic_graph):
     finally:
         svc.close()
     assert svc.health()["status"] == "closed"
+
+
+# -- memory pressure -----------------------------------------------------------
+
+
+def test_memory_pressure_sheds_with_an_overload_error(small_ic_graph):
+    """An overcommitted budget with nothing left to demote sheds the
+    query as backpressure: a proper overload error, counted, and
+    answered ``overloaded: true`` over the wire so clients back off."""
+    svc = _service(small_ic_graph, degraded_serving=False)
+    try:
+        with budget_scope(1024) as gov:
+            gov.account("test.pinned", "resident", 1 << 20)
+            try:
+                with pytest.raises(ServiceOverloadedError) as info:
+                    svc.submit(_query())
+                assert isinstance(info.value, MemoryPressureError)
+                assert info.value.charged_bytes >= 1 << 20
+                assert info.value.budget_bytes == 1024
+                response = handle_request(
+                    svc, {"graph": "g", "k": 5, "epsilon": 0.3}
+                )
+            finally:
+                gov.account("test.pinned", "resident", -(1 << 20))
+        assert response["ok"] is False
+        assert response["overloaded"] is True
+        assert "memory budget exhausted" in response["error"]
+        assert svc.health()["counters"]["service.memory_pressure.shed"] == 2
+    finally:
+        svc.close()

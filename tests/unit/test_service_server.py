@@ -214,6 +214,16 @@ def test_read_timeout_closes_idle_connection(service):
         server.server_close()
 
 
+def test_removed_coverage_scan_field_rejected_over_tcp(tcp_server):
+    host, port = tcp_server
+    response = request_once(host, port, {
+        "graph": "g", "k": 3, "epsilon": 0.3, "coverage_scan": "csr",
+    })
+    assert response["ok"] is False
+    assert "unknown request fields" in response["error"]
+    assert "coverage_scan" in response["error"]
+
+
 def test_health_request_over_tcp(tcp_server):
     host, port = tcp_server
     request_once(host, port, {"graph": "g", "k": 3, "epsilon": 0.3})
